@@ -524,8 +524,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
     Builds a gateway over a synthesized (or loaded) trace and serves
     open-loop arrivals through the configured admission controller for
     ``--duration`` simulated seconds, printing the final accounting.
-    ``--shards N`` selects the multi-process sharded runtime (same
-    fingerprint for any shard count).  ``--bench`` instead times the
+    ``--shards N`` moves the fleet's kernel step into ``N`` worker
+    processes (same gateway, same fingerprint for any shard count).  ``--bench`` instead times the
     vectorized service loop on a preloaded fleet and writes
     ``BENCH_server.json`` (appending a history leg); with
     ``--perf-baseline`` the run is gated against the committed
@@ -558,7 +558,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
                   f"{args.checkpoint_path}); the perf gate measures the "
                   f"cadence overhead against the clean baseline")
         runtime = (
-            f"sharded x{result['shards']}" if result["shards"] else "plain"
+            f"{result['shards']} shard workers"
+            if result["shards"]
+            else "in-process"
         )
         print(f"server benchmark ({result['num_calls']} concurrent calls, "
               f"{runtime}):")
@@ -1140,9 +1142,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--shards", type=int, default=0,
-        help="worker processes for the sharded runtime (0 = plain "
-             "single-process gateway; the fingerprint is identical "
-             "either way)",
+        help="worker processes that step the call fleet (0 = step it "
+             "in-process; one gateway and one batched commit either "
+             "way, and the fingerprint is identical)",
     )
     serve.add_argument(
         "--shard-chunk", type=int, default=4_096,
@@ -1295,9 +1297,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sc_run.add_argument(
         "--shards", type=int, default=0,
-        help="sharded runtime worker count (any scenario shape; "
-             "multi-bottleneck specs shard each flow group's fleet; "
-             "0 = plain gateway, fingerprint-identical)",
+        help="worker processes that step the call fleets (any "
+             "scenario shape; multi-bottleneck specs shard each flow "
+             "group's fleet; 0 = step in-process, fingerprint-identical)",
     )
     sc_run.add_argument(
         "--fault-plan", default=None,

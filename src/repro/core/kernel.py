@@ -57,10 +57,7 @@ if TYPE_CHECKING:  # pragma: no cover - type-only (core.online imports us)
 
 #: Guard subtracted before ``ceil`` in eq. 7's quantiser so an estimate
 #: sitting exactly on a grid line is not bumped to the next level by
-#: float dust.  This module is the constant's single home; the legacy
-#: ``repro.core.online.QUANTIZE_EPSILON`` and
-#: ``repro.server.fleet.QUANTIZE_EPSILON`` names are deprecated
-#: re-exports of this value.
+#: float dust.  This module is the constant's single home.
 QUANTIZE_EPSILON = 1e-12
 
 
@@ -186,7 +183,7 @@ class KernelState:
 class KernelStateView:
     """A zero-copy window onto a contiguous range of kernel state columns.
 
-    The sharded gateway partitions one full-size :class:`KernelState`
+    The sharded fleet partitions one full-size :class:`KernelState`
     block across worker processes; each worker steps its own contiguous
     slice through :meth:`RenegotiationKernel.step` via one of these
     views.  Because every step operation is elementwise, stepping a

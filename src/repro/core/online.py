@@ -30,7 +30,6 @@ stated in the paper; it defaults to 0.9 and is exposed as a parameter.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
@@ -43,20 +42,6 @@ from repro.traffic.trace import SlottedWorkload
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (faults -> core)
     from repro.faults.recovery import RecoveryPolicy
-
-
-def __getattr__(name: str):
-    # Deprecated re-export: the quantiser guard moved to its single home
-    # in repro.core.kernel alongside the rest of the eq.-7 arithmetic.
-    if name == "QUANTIZE_EPSILON":
-        warnings.warn(
-            "repro.core.online.QUANTIZE_EPSILON is deprecated; import it "
-            "from repro.core.kernel",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return _kernel.QUANTIZE_EPSILON
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)

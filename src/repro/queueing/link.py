@@ -213,7 +213,7 @@ class RcbrLink:
         (this base implementation *is* that loop); returns the granted
         rates and the number of failed (partially granted) requests.
         :class:`DenseRcbrLink` overrides this with a vectorized fast
-        path for the batch-renegotiating sharded gateway.
+        path for the gateway's batched epoch commit.
         """
         granted = np.empty(len(new_rates))
         failures = 0
@@ -395,9 +395,9 @@ class DenseRcbrLink(RcbrLink):
     """An :class:`RcbrLink` whose sources are integer pool slots.
 
     The dict-keyed link costs a handful of hash lookups per request —
-    irrelevant at 50k calls, but at 1M concurrent calls the sharded
-    gateway completes ~40k renegotiations *per epoch* and the dict
-    churn alone would eat a third of the real-time budget.  This
+    irrelevant at 50k calls, but at 1M concurrent calls the gateway
+    completes ~40k renegotiations *per epoch* and the dict churn alone
+    would eat a third of the real-time budget.  This
     subclass stores grants and demands as dense float64 columns indexed
     by pool slot and adds a vectorized :meth:`request_batch` whose
     running totals are evolved with ``np.cumsum`` — a strict left fold,

@@ -73,9 +73,7 @@ from repro.queueing.link import RcbrLink
 from repro.scenarios.registry import get_scenario
 from repro.scenarios.spec import ScenarioSpec
 from repro.server.config import ServerConfig
-from repro.server.fleet import CallFleet
 from repro.server.gateway import RcbrGateway, build_gateway
-from repro.server.sharded import ShardedFleet
 from repro.server.stats import ServerReport
 from repro.server.topology import (
     CallBinding,
@@ -310,29 +308,10 @@ class ScenarioGateway(RcbrGateway):
     def _build_fleet(
         self, workload: SlottedWorkload, config: ServerConfig
     ) -> FleetStack:
-        if config.shards:
-            self._fleets = [
-                ShardedFleet(
-                    group_workload,
-                    self.params,
-                    buffer_size=config.buffer_bits,
-                    initial_capacity=256,
-                    num_shards=config.shards,
-                    chunk_size=config.shard_chunk,
-                    seed=config.seed,
-                )
-                for group_workload in self._group_workloads
-            ]
-        else:
-            self._fleets = [
-                CallFleet(
-                    group_workload,
-                    self.params,
-                    buffer_size=config.buffer_bits,
-                    initial_capacity=256,
-                )
-                for group_workload in self._group_workloads
-            ]
+        self._fleets = [
+            self._new_fleet(group_workload, config, 256)
+            for group_workload in self._group_workloads
+        ]
         return FleetStack(self._fleets)  # type: ignore[return-value]
 
     def _build_link(self, config: ServerConfig) -> LinkStack:
@@ -369,9 +348,6 @@ class ScenarioGateway(RcbrGateway):
             )
             self._route_paths[route] = path
         return path
-
-    def close(self) -> None:
-        self.fleet.close()
 
     # ------------------------------------------------------------------
     # Call lifecycle
@@ -1243,9 +1219,9 @@ def run_scenario(
 
     Keyword overrides replace the spec's defaults.  ``shards`` applies
     to every scenario shape — the single-bottleneck specs run the
-    classic sharded gateway, the multi-bottleneck specs shard each flow
-    group's fleet.  Same spec and seed => byte-identical fingerprint
-    for shards ∈ {0, 1, N}.
+    classic gateway with a sharded fleet, the multi-bottleneck specs
+    shard each flow group's fleet.  Same spec and seed =>
+    byte-identical fingerprint for shards ∈ {0, 1, N}.
     """
     spec = (
         get_scenario(scenario) if isinstance(scenario, str) else scenario

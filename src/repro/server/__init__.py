@@ -9,17 +9,17 @@ whose integrals yield the utilization/loss story of the paper — all under
 a deterministic seed with periodic snapshots and a replay fingerprint.
 Under sustained saturation the optional link-level overload control
 plane (:mod:`repro.overload`) downgrades or sacrifices calls instead of
-only blocking at the door.  ``config.shards >= 1`` swaps in the
-multi-process sharded runtime (:mod:`repro.server.sharded`, DESIGN.md
-§14) — 1M+ concurrent calls at realtime with a byte-identical
-fingerprint.
+only blocking at the door.  One gateway class serves every shard
+count: ``config.shards >= 1`` only moves the fleet's kernel step into
+worker processes (:mod:`repro.server.sharded`, DESIGN.md §14) — 1M+
+concurrent calls at realtime with a byte-identical fingerprint.
 """
 
 from repro.overload import OVERLOAD_POLICY_NAMES
 from repro.server.config import CONTROLLER_NAMES, ServerConfig, build_controller
 from repro.server.fleet import CallFleet, EpochStep
 from repro.server.gateway import RcbrGateway, build_gateway, serve
-from repro.server.sharded import ShardedFleet, ShardedGateway, shard_of_slot
+from repro.server.sharded import ShardedFleet, shard_of_slot
 from repro.server.stats import (
     ServerReport,
     ServerSnapshot,
@@ -38,7 +38,6 @@ __all__ = [
     "build_gateway",
     "serve",
     "ShardedFleet",
-    "ShardedGateway",
     "shard_of_slot",
     "ServerReport",
     "ServerSnapshot",

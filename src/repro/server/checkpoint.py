@@ -63,7 +63,10 @@ __all__ = [
 CHECKPOINT_MAGIC = "rcbr-gateway-checkpoint"
 
 #: Bump when the state layout changes; mismatched checkpoints are stale.
-CHECKPOINT_SCHEMA = 1
+#: Schema 2: every gateway keeps a dense slot-keyed link and ports and
+#: a batched completion event (schema-1 ``shards=0`` checkpoints held
+#: dict link/ports and per-call completion events).
+CHECKPOINT_SCHEMA = 2
 
 
 class CheckpointError(RuntimeError):

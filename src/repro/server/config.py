@@ -53,14 +53,16 @@ class ServerConfig:
     to sample.  The sample is drawn from a dedicated stream spawned from
     ``seed``, so sourced runs inherit the same determinism contract.
 
-    ``shards`` selects the multi-process sharded runtime
-    (:mod:`repro.server.sharded`): 0 runs the plain single-process
-    gateway, ``N >= 1`` partitions the call fleet's kernel state across
-    ``N`` worker processes in contiguous ``shard_chunk``-slot chunks
-    (shard of a slot = ``(slot // shard_chunk) % shards``, a pure
-    function of the pool slot, so a call never migrates shards).  The
-    snapshot fingerprint is byte-identical for any shard count,
-    including 0.
+    ``shards`` chooses only where the call fleet's kernel step runs;
+    the gateway, its dense link and ports, and its batched
+    renegotiation commit are the same for every value.  0 steps the
+    fleet in-process (:class:`~repro.server.fleet.CallFleet`);
+    ``N >= 1`` partitions the fleet's kernel state across ``N`` worker
+    processes (:class:`~repro.server.sharded.ShardedFleet`) in
+    contiguous ``shard_chunk``-slot chunks (shard of a slot =
+    ``(slot // shard_chunk) % shards``, a pure function of the pool
+    slot, so a call never migrates shards).  The snapshot fingerprint
+    is byte-identical for any shard count, including 0.
 
     The ``overload_*`` knobs configure the link-level overload control
     plane (:mod:`repro.overload`).  ``overload_policy`` selects block

@@ -30,31 +30,15 @@ reductions (total buffered bits, total reserved rate) are exact.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from repro.core import kernel as _kernel
 from repro.core.kernel import RenegotiationKernel
 from repro.core.online import OnlineParams
 from repro.traffic.trace import SlottedWorkload
 from repro.util.stats import per_class_counts, per_class_totals
-
-
-def __getattr__(name: str):
-    # Deprecated re-export: the quantiser guard moved to its single home
-    # in repro.core.kernel alongside the rest of the eq.-7 arithmetic.
-    if name == "QUANTIZE_EPSILON":
-        warnings.warn(
-            "repro.server.fleet.QUANTIZE_EPSILON is deprecated; import it "
-            "from repro.core.kernel",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return _kernel.QUANTIZE_EPSILON
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -114,6 +98,9 @@ class CallFleet:
         self.peak_active = 0
         self.epochs_stepped = 0
         self.call_epochs_stepped = 0
+        #: Called with the new capacity after the pool grows, so the
+        #: gateway can widen its slot-keyed link and ports in lockstep.
+        self.on_grow: Optional[Callable[[int], None]] = None
 
     # ------------------------------------------------------------------
     # Kernel-owned state, exposed as the fleet's columns
@@ -152,19 +139,33 @@ class CallFleet:
         return self._capacity
 
     def _grow(self) -> None:
+        """Double the pool: new slots join the free list, the
+        :attr:`on_grow` hook hears the new capacity."""
         old = self._capacity
         new = old * 2
-        self._state.grow(new)
-        for name in (
-            "active", "shift", "pending", "streak", "call_id", "call_class"
-        ):
-            column = getattr(self, name)
-            grown = np.zeros(new, dtype=column.dtype)
-            grown[:old] = column
-            setattr(self, name, grown)
+        self._grow_columns(new)
         self.call_id[old:] = -1
         self._free.extend(range(new - 1, old - 1, -1))
         self._capacity = new
+        if self.on_grow is not None:
+            self.on_grow(new)
+
+    def _grow_columns(self, new_capacity: int) -> None:
+        """Widen every per-slot column (the sharded fleet re-points its
+        kernel columns at a fresh shared block instead)."""
+        self._state.grow(new_capacity)
+        self._grow_owned(
+            ("active", "shift", "pending", "streak", "call_id", "call_class"),
+            new_capacity,
+        )
+
+    def _grow_owned(self, names: Iterable[str], new_capacity: int) -> None:
+        old = self._capacity
+        for name in names:
+            column = getattr(self, name)
+            grown = np.zeros(new_capacity, dtype=column.dtype)
+            grown[:old] = column
+            setattr(self, name, grown)
 
     def quantize(self, rate_estimate: float) -> float:
         """eq. 7 on this fleet's grid (see :func:`repro.core.kernel.quantize`)."""
@@ -281,6 +282,9 @@ class CallFleet:
             self.call_class[self.active], self.rate[self.active], num_classes
         )
 
+    def close(self) -> None:
+        """Release worker resources; the in-process fleet holds none."""
+
     # ------------------------------------------------------------------
     # Checkpointing
     # ------------------------------------------------------------------
@@ -310,7 +314,7 @@ class CallFleet:
 
         Growth happens through :meth:`_grow` so subclasses keep their
         invariants (the sharded fleet re-points columns at a fresh
-        shared block and notifies the gateway to widen link/ports).
+        shared block) and the gateway widens its link and ports.
         Capacities must then match exactly — both sides double from the
         same config-derived initial size, so any mismatch means the
         checkpoint belongs to a different config and is refused.

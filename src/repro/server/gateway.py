@@ -3,14 +3,19 @@
 This ties the whole library together as a long-lived service loop.  An
 open-loop Poisson load generator offers calls to an admission controller
 (:mod:`repro.admission.controllers`); each admitted call joins the
-vectorized :class:`~repro.server.fleet.CallFleet` and runs the causal
-AR(1) heuristic against its own circularly-shifted copy of the base
-workload; threshold crossings become RM cells on a
-:class:`~repro.signaling.network.SignalingPath` (where a
-:class:`~repro.faults.injectors.FaultPlan` can lose, delay, duplicate, or
-outage them); granted rates are reserved on a shared
-:class:`~repro.queueing.link.RcbrLink` whose integrals yield utilization
-and bits lost.
+vectorized call fleet and runs the causal AR(1) heuristic against its
+own circularly-shifted copy of the base workload; threshold crossings
+become RM cells on a :class:`~repro.signaling.network.SignalingPath`
+(where a :class:`~repro.faults.injectors.FaultPlan` can lose, delay,
+duplicate, or outage them); granted rates are reserved on a shared
+:class:`~repro.queueing.link.DenseRcbrLink` whose integrals yield
+utilization and bits lost.
+
+One gateway class serves every shard count.  The link and the switch
+ports are dense columns keyed by pool slot, widened in lockstep when the
+fleet grows.  ``config.shards`` chooses only where the kernel step runs:
+in-process (:class:`~repro.server.fleet.CallFleet`, ``shards=0``) or in
+worker processes (:class:`~repro.server.sharded.ShardedFleet`).
 
 The loop is a hybrid: per-epoch vector stepping for the data plane (one
 numpy pass over all active calls per slot — the 50k-call hot path) and a
@@ -19,14 +24,19 @@ abandonments, renegotiation round-trips).  Event ordering per epoch
 ``k``::
 
     1. drain the heap up to t = k * slot   (arrivals, departures, and
-       renegotiation completions whose round trip ended by t)
+       the renegotiation completions whose round trip ended by t)
     2. vector-step every active call through base slot k
-    3. issue this epoch's renegotiations with request time (k+1) * slot;
-       their outcomes apply at (k+1) * slot + path RTT via the heap
+    3. issue this epoch's renegotiations as one batched path commit
+       with request time (k+1) * slot; their outcomes apply at
+       (k+1) * slot + path RTT through one heap event
 
 so with zero hop delay an answer lands before the next step and the
 fleet reproduces the scalar :class:`~repro.core.online.OnlineScheduler`
-exactly (rates take effect the following slot, as in the paper).
+exactly (rates take effect the following slot, as in the paper).  The
+batch is exact: it equals one round trip per request in ascending slot
+order.  Where only the per-request fold is exact — a fault plan, or an
+abandonment inside a completion batch — the gateway takes the scalar
+``_issue``/``_complete`` pair instead.
 
 Dual bandwidth authority, by design: call setup/teardown provision the
 switch ports directly (admission is the CAC's decision, not the ER fast
@@ -78,9 +88,10 @@ from repro.faults.injectors import FaultPlan
 from repro.overload.plane import OverloadControlPlane
 from repro.overload.policies import make_overload_policy
 from repro.queueing.events import Event, EventScheduler
-from repro.queueing.link import RcbrLink
+from repro.queueing.link import DenseRcbrLink
 from repro.server.config import ServerConfig, build_controller
-from repro.server.fleet import CallFleet
+from repro.server.fleet import CallFleet, EpochStep
+from repro.server.sharded import ShardedFleet
 from repro.server.stats import (
     ServerReport,
     ServerSnapshot,
@@ -88,7 +99,7 @@ from repro.server.stats import (
 )
 from repro.signaling.messages import RenegotiationRequest
 from repro.signaling.network import SignalingPath
-from repro.signaling.switch import SwitchPort
+from repro.signaling.switch import DenseSwitchPort
 from repro.traffic.sources import TrafficSource, make_source
 from repro.traffic.trace import SlottedWorkload
 from repro.util.rng import spawn_generators
@@ -263,42 +274,69 @@ class RcbrGateway:
         self._encode_callback_cache: Dict[object, str] = {}
 
     # ------------------------------------------------------------------
-    # Construction hooks (overridden by the sharded runtime)
+    # Construction seams (the scenario runtime overrides all three)
     # ------------------------------------------------------------------
     def _build_fleet(
         self, workload: SlottedWorkload, config: ServerConfig
     ) -> CallFleet:
+        fleet = self._new_fleet(
+            workload, config, max(256, config.initial_calls)
+        )
+        # The link and ports are slot-keyed columns: widen them with the
+        # pool.  (The scenario runtime's per-edge dict links need no
+        # widening, so its override wires no hook.)
+        fleet.on_grow = self._on_fleet_grow
+        return fleet
+
+    def _new_fleet(
+        self,
+        workload: SlottedWorkload,
+        config: ServerConfig,
+        initial_capacity: int,
+    ) -> CallFleet:
+        """The in-process fleet for ``shards=0``, the worker-process
+        fleet otherwise — the only thing the shard count chooses."""
+        if config.shards:
+            return ShardedFleet(
+                workload,
+                self.params,
+                buffer_size=config.buffer_bits,
+                initial_capacity=initial_capacity,
+                num_shards=config.shards,
+                chunk_size=config.shard_chunk,
+                seed=config.seed,
+            )
         return CallFleet(
             workload,
             self.params,
             buffer_size=config.buffer_bits,
-            initial_capacity=max(256, config.initial_calls),
+            initial_capacity=initial_capacity,
         )
 
-    def _build_link(self, config: ServerConfig) -> RcbrLink:
-        return RcbrLink(config.capacity)
+    def _build_link(self, config: ServerConfig) -> DenseRcbrLink:
+        return DenseRcbrLink(config.capacity, self.fleet.capacity)
 
-    def _build_ports(self, config: ServerConfig) -> List[SwitchPort]:
+    def _build_ports(self, config: ServerConfig) -> List[DenseSwitchPort]:
         # The last port is the bottleneck (capacity == link capacity);
         # upstream hops get headroom so the bottleneck stays binding.
-        ports: List[SwitchPort] = [
-            SwitchPort(
+        num_slots = self.fleet.capacity
+        ports = [
+            DenseSwitchPort(
                 config.capacity * config.upstream_headroom,
+                num_slots,
                 name=f"hop{index}",
             )
             for index in range(config.num_hops - 1)
         ]
-        ports.append(SwitchPort(config.capacity, name="bottleneck"))
+        ports.append(
+            DenseSwitchPort(config.capacity, num_slots, name="bottleneck")
+        )
         return ports
 
-    def _source_key(self, slot: int, call_id: int) -> int:
-        """The identity a call reserves under at the link/ports/path.
-
-        The plain gateway keys by call id; the sharded gateway keys by
-        pool slot so the link and ports can be dense arrays.  Admission
-        controllers always see the call id regardless.
-        """
-        return call_id
+    def _on_fleet_grow(self, new_capacity: int) -> None:
+        self.link.grow(new_capacity)
+        for port in self.ports:
+            port.grow(new_capacity)
 
     # ------------------------------------------------------------------
     # Call lifecycle
@@ -327,14 +365,13 @@ class RcbrGateway:
         readmission — the post-decision, post-draw part of admission)."""
         call_id = next(self._call_ids)
         slot, initial_rate = self.fleet.admit(call_id, shift, call_class)
-        key = self._source_key(slot, call_id)
-        outcome = self.link.request(key, initial_rate, now)
+        outcome = self.link.request(slot, initial_rate, now)
         if outcome.failed:
             self.setup_shortfalls += 1
         granted = outcome.granted_rate
         self.fleet.set_rate(slot, granted)
         for port in self.ports:
-            port.provision(key, granted)
+            port.provision(slot, granted)
         self.controller.on_admit(call_id, granted, now, call_class=call_class)
         self.admitted += 1
         self.offered.on_admitted(call_class)
@@ -358,9 +395,8 @@ class RcbrGateway:
             return  # stale event: the call already left this pool slot
         now = self.engine.now
         self.offered.on_departure(int(self.fleet.call_class[slot]))
-        key = self._source_key(slot, call_id)
-        self.link.release(key, now)
-        self.path.release(key)
+        self.link.release(slot, now)
+        self.path.release(slot)
         self.controller.on_departure(call_id, now)
         self.fleet.remove(slot)
         self._departure_events.pop(call_id, None)
@@ -380,6 +416,7 @@ class RcbrGateway:
     def _issue(
         self, slot: int, call_id: int, new_rate: float, time: float
     ) -> None:
+        """The scalar round trip: the exact fallback under a fault plan."""
         old_rate = float(self.fleet.rate[slot])
         increase = new_rate > old_rate
         self.fleet.pending[slot] = True
@@ -394,7 +431,7 @@ class RcbrGateway:
         else:
             granted = self.path.renegotiate(
                 RenegotiationRequest(
-                    vci=self._source_key(slot, call_id),
+                    vci=slot,
                     old_rate=old_rate,
                     new_rate=new_rate,
                     time=time,
@@ -413,20 +450,41 @@ class RcbrGateway:
             apply,
         )
 
-    def _issue_epoch(self, step, end_of_slot: float) -> None:
+    def _issue_epoch(self, step: EpochStep, end_of_slot: float) -> None:
         """Issue every renegotiation one epoch step produced.
 
-        ``step.slots`` is in ascending pool-slot order — the documented
-        issue order of the determinism contract.  The sharded gateway
-        overrides this with a batched path commit.
+        One batched path commit (:meth:`SignalingPath.renegotiate_batch`)
+        and one completion event for the whole epoch.  ``step.slots`` is
+        in ascending pool-slot order — the documented issue order of the
+        determinism contract, which the batch reproduces exactly.
         """
-        call_ids = self.fleet.call_id[step.slots]
-        for slot_index, call_id, candidate in zip(
-            step.slots.tolist(),
-            call_ids.tolist(),
-            step.candidates.tolist(),
-        ):
-            self._issue(slot_index, call_id, candidate, end_of_slot)
+        slots = step.slots
+        call_ids = self.fleet.call_id[slots]
+        if self.faults is not None:
+            # Injected denials draw from the fault plan per increase, in
+            # per-call order; only the scalar path reproduces that.
+            for slot, call_id, candidate in zip(
+                slots.tolist(), call_ids.tolist(), step.candidates.tolist()
+            ):
+                self._issue(slot, call_id, candidate, end_of_slot)
+            return
+        new_rates = step.candidates
+        old_rates = self.fleet.rate[slots]
+        self.fleet.pending[slots] = True
+        self.reneg_requests += int(slots.size)
+        granted = self.path.renegotiate_batch(
+            slots, old_rates, new_rates, end_of_slot
+        )
+        apply = granted | ~(new_rates > old_rates)
+        self.engine.schedule_at(
+            end_of_slot + self.path.round_trip_time,
+            self._complete_batch,
+            slots,
+            call_ids,
+            new_rates,
+            granted,
+            apply,
+        )
 
     def _complete(
         self,
@@ -436,14 +494,14 @@ class RcbrGateway:
         granted: bool,
         apply: bool,
     ) -> None:
+        """The scalar completion: the exact fallback for one round trip
+        under a fault plan, or for a batch with an imminent abandonment."""
         if self.fleet.call_id[slot] != call_id:
             return  # the call departed while its cell was in flight
         self.fleet.pending[slot] = False
         now = self.engine.now
         if apply:
-            outcome = self.link.request(
-                self._source_key(slot, call_id), new_rate, now
-            )
+            outcome = self.link.request(slot, new_rate, now)
             if outcome.failed:
                 self.link_shortfalls += 1
             self.fleet.set_rate(slot, outcome.granted_rate)
@@ -458,6 +516,76 @@ class RcbrGateway:
             and streak >= self.config.abandon_after
         ):
             self._abandon(slot, call_id)
+
+    def _complete_batch(
+        self,
+        slots: np.ndarray,
+        call_ids: np.ndarray,
+        new_rates: np.ndarray,
+        granted: np.ndarray,
+        apply: np.ndarray,
+    ) -> None:
+        fleet = self.fleet
+        all_applied = bool(np.all(apply))
+        if not all_applied and self.config.abandon_after is not None:
+            # An abandonment mid-batch mutates the free list (and can
+            # release link and port state) between completions; only
+            # the scalar replay, in ascending slot order — the order
+            # the per-call events would fire in — is exact there.
+            # Slots are unique, so each gets at most one streak bump
+            # this batch and the pre-check sees the decisive value.
+            denied_mask = ~apply
+            denied_slots = slots[denied_mask]
+            live = fleet.call_id[denied_slots] == call_ids[denied_mask]
+            streaks = fleet.streak[denied_slots[live]]
+            if bool(np.any(streaks + 1 >= self.config.abandon_after)):
+                for index in range(slots.size):
+                    self._complete(
+                        int(slots[index]),
+                        int(call_ids[index]),
+                        float(new_rates[index]),
+                        bool(granted[index]),
+                        bool(apply[index]),
+                    )
+                return
+        valid = fleet.call_id[slots] == call_ids
+        if not bool(valid.all()):
+            slots = slots[valid]
+            call_ids = call_ids[valid]
+            new_rates = new_rates[valid]
+            apply = apply[valid]
+            if slots.size == 0:
+                return
+        fleet.pending[slots] = False
+        now = self.engine.now
+        if not all_applied:
+            # Denied completions never touch the link, so splitting
+            # them out of the ascending-order commit is exact; the
+            # streak bumps and grant resets land on disjoint slots.
+            denied_slots = slots[~apply]
+            if denied_slots.size:
+                self.reneg_denied += int(denied_slots.size)
+                fleet.streak[denied_slots] += 1
+            slots = slots[apply]
+            call_ids = call_ids[apply]
+            new_rates = new_rates[apply]
+            if slots.size == 0:
+                return
+        granted_rates, failures = self.link.request_batch(
+            slots, new_rates, now
+        )
+        self.link_shortfalls += failures
+        fleet.rate[slots] = granted_rates
+        on_batch = getattr(self.controller, "on_reservation_batch", None)
+        if on_batch is not None:
+            on_batch(call_ids, granted_rates, now)
+        else:
+            on_reservation = self.controller.on_reservation
+            for call_id, rate in zip(
+                call_ids.tolist(), granted_rates.tolist()
+            ):
+                on_reservation(call_id, rate, now)
+        fleet.streak[slots] = 0
 
     # ------------------------------------------------------------------
     # Overload-plane actions (called by repro.overload policies)
@@ -487,11 +615,10 @@ class RcbrGateway:
             if new_rate >= old_rate:
                 continue
             call_id = int(fleet.call_id[slot])
-            key = self._source_key(slot, call_id)
-            outcome = self.link.request(key, new_rate, now)
+            outcome = self.link.request(slot, new_rate, now)
             granted = outcome.granted_rate
             for port in self.ports:
-                port.reprovision(key, granted - old_rate)
+                port.reprovision(slot, granted - old_rate)
             self.controller.on_reservation(call_id, granted, now)
             fleet.set_rate(slot, granted)
             shrunk += 1
@@ -518,9 +645,8 @@ class RcbrGateway:
             event.cancel()
             remaining = max(0.0, event.time - now)
         self.offered.on_departure(call_class)
-        key = self._source_key(slot, call_id)
-        self.link.release(key, now)
-        self.path.release(key)
+        self.link.release(slot, now)
+        self.path.release(slot)
         self.controller.on_departure(call_id, now)
         fleet.remove(slot)
         self.departed += 1
@@ -1044,11 +1170,9 @@ class RcbrGateway:
         self.load_state(state)
 
     def close(self) -> None:
-        """Release external resources (worker processes, shared memory).
-
-        A no-op for the single-process gateway; the sharded runtime
-        overrides it to shut its worker pool down.  Idempotent.
-        """
+        """Release external resources: the fleet's worker processes, if
+        it has any.  Idempotent."""
+        self.fleet.close()
 
     def __enter__(self) -> "RcbrGateway":
         return self
@@ -1087,20 +1211,10 @@ def build_gateway(
     faults: Optional[FaultPlan] = None,
     source: Optional[TrafficSource] = None,
 ) -> RcbrGateway:
-    """Build the gateway class ``config`` calls for.
-
-    ``config.shards >= 1`` selects the sharded multi-process runtime
-    (``repro.server.sharded``); the default plain gateway is returned
-    when ``shards`` is 0/unset.  Kept here so ``serve`` and the CLI
-    share one dispatch point.
-    """
-    if getattr(config, "shards", 0):
-        from repro.server.sharded import ShardedGateway
-
-        return ShardedGateway(
-            workload, config, controller=controller, faults=faults,
-            source=source,
-        )
+    """Build the gateway for ``config`` — one class for every shard
+    count (``config.shards`` only chooses where the kernel step runs).
+    Kept so ``serve``, the CLI, and the scenario harness share one
+    construction point."""
     return RcbrGateway(
         workload, config, controller=controller, faults=faults, source=source
     )

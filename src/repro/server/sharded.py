@@ -1,4 +1,4 @@
-"""The sharded gateway: 1M concurrent calls at realtime on one box.
+"""The sharded fleet: 1M concurrent calls at realtime on one box.
 
 This module partitions the call fleet's :class:`~repro.core.kernel.KernelState`
 structure-of-arrays across N worker processes.  The full-size state
@@ -9,8 +9,11 @@ renegotiation kernel via zero-copy
 :class:`~repro.core.kernel.KernelStateView` windows.  The coordinator
 (the gateway process) keeps everything that must stay global: the event
 heap, every RNG stream, admission, the shared
-:class:`~repro.queueing.link.DenseRcbrLink`, the signaling ports, and
-the overload control plane.
+:class:`~repro.queueing.link.DenseRcbrLink`, the signaling ports, the
+batched renegotiation commit, and the overload control plane.  The
+gateway is the same :class:`~repro.server.gateway.RcbrGateway` at every
+shard count; ``config.shards >= 1`` only swaps this fleet in for the
+in-process :class:`~repro.server.fleet.CallFleet`.
 
 Determinism contract (the whole point — see DESIGN.md §14):
 
@@ -37,8 +40,8 @@ Determinism contract (the whole point — see DESIGN.md §14):
   reaches any observable.
 
 Together these give the locked invariant: same seed ⇒ byte-identical
-snapshot fingerprint for any ``shards`` count, including the unsharded
-gateway.
+snapshot fingerprint for any ``shards`` count, including the in-process
+fleet (``shards=0``).
 
 Supervision reuses :class:`~repro.perf.supervise.SupervisorPolicy`:
 a worker that dies or exceeds the step timeout triggers a pool rebuild
@@ -58,25 +61,18 @@ import multiprocessing
 import os
 import time
 from multiprocessing.connection import wait as _wait_connections
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.admission.controllers import AdmissionController
 from repro.core.kernel import (
     KernelStateView,
     RenegotiationKernel,
     merge_deferred_step,
 )
 from repro.core.online import OnlineParams
-from repro.faults.injectors import FaultPlan
 from repro.perf.supervise import SupervisorPolicy
-from repro.queueing.link import DenseRcbrLink, RcbrLink
-from repro.server.config import ServerConfig
 from repro.server.fleet import CallFleet, EpochStep
-from repro.server.gateway import RcbrGateway
-from repro.signaling.switch import DenseSwitchPort, SwitchPort
-from repro.traffic.sources import TrafficSource
 from repro.traffic.trace import SlottedWorkload
 
 
@@ -535,9 +531,6 @@ class ShardedFleet(CallFleet):
         self.seed = int(seed)
         self.pool_rebuilds = 0
         self.degraded = False
-        #: Called with the new capacity after the pool grows, so the
-        #: gateway can widen its dense link/ports in lockstep.
-        self.on_grow: Optional[Callable[[int], None]] = None
         self._pool: Optional[ShardWorkerPool] = None
         self._columns = _SharedColumns(self._capacity, self.chunk_size)
         self._adopt_columns()
@@ -565,9 +558,7 @@ class ShardedFleet(CallFleet):
             shared[: getattr(self, mine).size] = getattr(self, mine)
             setattr(self, mine, shared)
 
-    def _grow(self) -> None:
-        old_capacity = self._capacity
-        new_capacity = old_capacity * 2
+    def _grow_columns(self, new_capacity: int) -> None:
         new_columns = _SharedColumns(new_capacity, self.chunk_size)
         new_columns.copy_persistent_from(self._columns)
         self._columns = new_columns
@@ -582,22 +573,13 @@ class ShardedFleet(CallFleet):
         self.active = new_columns.active
         self.pending = new_columns.pending
         self.shift = new_columns.shift
-        for name in ("streak", "call_id", "call_class"):
-            column = getattr(self, name)
-            grown = np.zeros(new_capacity, dtype=column.dtype)
-            grown[:old_capacity] = column
-            setattr(self, name, grown)
-        self.call_id[old_capacity:] = -1
-        self._free.extend(range(new_capacity - 1, old_capacity - 1, -1))
-        self._capacity = new_capacity
+        self._grow_owned(("streak", "call_id", "call_class"), new_capacity)
         if self._pool is not None:
             # Workers hold views of the old block; respawn lazily on the
             # next step with the new one.  Growth happens between epoch
             # steps, so nothing is lost.
             self._pool.close()
             self._pool = None
-        if self.on_grow is not None:
-            self.on_grow(new_capacity)
 
     # ------------------------------------------------------------------
     def _spawn_pool(self) -> None:
@@ -683,192 +665,8 @@ class ShardedFleet(CallFleet):
             self._pool = None
 
 
-class ShardedGateway(RcbrGateway):
-    """The multi-process RCBR gateway (DESIGN.md §14).
-
-    Inherits the whole control plane — arrivals, admission, overload,
-    snapshots, the event heap — and overrides four seams: the fleet
-    (sharded, shared-memory), the link and ports (dense, slot-indexed),
-    the per-epoch issue step (one batched path commit and one batched
-    completion event instead of ~40k scalar round trips), and the
-    source identity (pool slot instead of call id, so the link and
-    ports can be flat arrays).  Port denials stay vectorized on a
-    single-hop path (the fixpoint in
-    :meth:`~repro.signaling.switch.SwitchPort.delta_batch_apply` — a
-    hot link denies a few percent of increases every epoch, so this is
-    the steady state, not an edge case); every batched path still
-    falls back to the exact scalar code whenever anything genuinely
-    non-vectorizable is in play (fault plans, cell loss, multi-hop
-    rollback, imminent abandonment), so the snapshot stream is
-    byte-identical to the plain gateway under every configuration, not
-    just the happy path.
-    """
-
-    def __init__(
-        self,
-        workload: Optional[SlottedWorkload],
-        config: ServerConfig,
-        controller: Optional[AdmissionController] = None,
-        faults: Optional[FaultPlan] = None,
-        source: Optional[TrafficSource] = None,
-    ) -> None:
-        if config.shards < 1:
-            raise ValueError("ShardedGateway needs config.shards >= 1")
-        super().__init__(
-            workload, config, controller=controller, faults=faults,
-            source=source,
-        )
-        self.fleet.on_grow = self._on_fleet_grow
-
-    # ------------------------------------------------------------------
-    # Construction seams
-    # ------------------------------------------------------------------
-    def _build_fleet(
-        self, workload: SlottedWorkload, config: ServerConfig
-    ) -> ShardedFleet:
-        return ShardedFleet(
-            workload,
-            self.params,
-            buffer_size=config.buffer_bits,
-            initial_capacity=max(256, config.initial_calls),
-            num_shards=config.shards,
-            chunk_size=config.shard_chunk,
-            seed=config.seed,
-        )
-
-    def _build_link(self, config: ServerConfig) -> RcbrLink:
-        return DenseRcbrLink(config.capacity, self.fleet.capacity)
-
-    def _build_ports(self, config: ServerConfig) -> List[SwitchPort]:
-        num_slots = self.fleet.capacity
-        ports: List[SwitchPort] = [
-            DenseSwitchPort(
-                config.capacity * config.upstream_headroom,
-                num_slots,
-                name=f"hop{index}",
-            )
-            for index in range(config.num_hops - 1)
-        ]
-        ports.append(
-            DenseSwitchPort(config.capacity, num_slots, name="bottleneck")
-        )
-        return ports
-
-    def _source_key(self, slot: int, call_id: int) -> int:
-        return slot
-
-    def _on_fleet_grow(self, new_capacity: int) -> None:
-        self.link.grow(new_capacity)
-        for port in self.ports:
-            port.grow(new_capacity)
-
-    # ------------------------------------------------------------------
-    # Batched renegotiation round trips
-    # ------------------------------------------------------------------
-    def _issue_epoch(self, step: EpochStep, end_of_slot: float) -> None:
-        if self.faults is not None:
-            # Injected denials draw from the fault plan per increase, in
-            # per-call order; only the scalar path reproduces that.
-            super()._issue_epoch(step, end_of_slot)
-            return
-        slots = step.slots
-        new_rates = step.candidates
-        old_rates = self.fleet.rate[slots]
-        call_ids = self.fleet.call_id[slots]
-        self.fleet.pending[slots] = True
-        self.reneg_requests += int(slots.size)
-        granted = self.path.renegotiate_batch(
-            slots, old_rates, new_rates, end_of_slot
-        )
-        apply = granted | ~(new_rates > old_rates)
-        self.engine.schedule_at(
-            end_of_slot + self.path.round_trip_time,
-            self._complete_batch,
-            slots,
-            call_ids,
-            new_rates,
-            granted,
-            apply,
-        )
-
-    def _complete_batch(
-        self,
-        slots: np.ndarray,
-        call_ids: np.ndarray,
-        new_rates: np.ndarray,
-        granted: np.ndarray,
-        apply: np.ndarray,
-    ) -> None:
-        fleet = self.fleet
-        all_applied = bool(np.all(apply))
-        if not all_applied and self.config.abandon_after is not None:
-            # An abandonment mid-batch mutates the free list (and can
-            # release link and port state) between completions; only
-            # the scalar replay, in ascending slot order — the order
-            # the per-call events would fire in — is exact there.
-            # Slots are unique, so each gets at most one streak bump
-            # this batch and the pre-check sees the decisive value.
-            denied_mask = ~apply
-            denied_slots = slots[denied_mask]
-            live = fleet.call_id[denied_slots] == call_ids[denied_mask]
-            streaks = fleet.streak[denied_slots[live]]
-            if bool(np.any(streaks + 1 >= self.config.abandon_after)):
-                for index in range(slots.size):
-                    self._complete(
-                        int(slots[index]),
-                        int(call_ids[index]),
-                        float(new_rates[index]),
-                        bool(granted[index]),
-                        bool(apply[index]),
-                    )
-                return
-        valid = fleet.call_id[slots] == call_ids
-        if not bool(valid.all()):
-            slots = slots[valid]
-            call_ids = call_ids[valid]
-            new_rates = new_rates[valid]
-            apply = apply[valid]
-            if slots.size == 0:
-                return
-        fleet.pending[slots] = False
-        now = self.engine.now
-        if not all_applied:
-            # Denied completions never touch the link, so splitting
-            # them out of the ascending-order commit is exact; the
-            # streak bumps and grant resets land on disjoint slots.
-            denied_slots = slots[~apply]
-            if denied_slots.size:
-                self.reneg_denied += int(denied_slots.size)
-                fleet.streak[denied_slots] += 1
-            slots = slots[apply]
-            call_ids = call_ids[apply]
-            new_rates = new_rates[apply]
-            if slots.size == 0:
-                return
-        granted_rates, failures = self.link.request_batch(
-            slots, new_rates, now
-        )
-        self.link_shortfalls += failures
-        self.fleet.rate[slots] = granted_rates
-        on_batch = getattr(self.controller, "on_reservation_batch", None)
-        if on_batch is not None:
-            on_batch(call_ids, granted_rates, now)
-        else:
-            on_reservation = self.controller.on_reservation
-            for call_id, rate in zip(
-                call_ids.tolist(), granted_rates.tolist()
-            ):
-                on_reservation(call_id, rate, now)
-        self.fleet.streak[slots] = 0
-
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        self.fleet.close()
-
-
 __all__ = [
     "ShardedFleet",
-    "ShardedGateway",
     "ShardWorkerPool",
     "WorkerPoolError",
     "shard_of_slot",

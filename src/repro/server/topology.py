@@ -108,9 +108,7 @@ class FleetStack:
 
     def close(self) -> None:
         for fleet in self.fleets:
-            close = getattr(fleet, "close", None)
-            if close is not None:
-                close()
+            fleet.close()
 
     def state_dict(self) -> List[Dict[str, object]]:
         return [fleet.state_dict() for fleet in self.fleets]

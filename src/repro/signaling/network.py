@@ -286,7 +286,7 @@ class SignalingPath:
         """Issue one epoch's renegotiations; returns per-request grants.
 
         Semantically identical to one :meth:`renegotiate` per entry at
-        the same ``time``, in order — this is the sharded gateway's
+        the same ``time``, in order — this is the gateway's
         per-epoch commit, where the scalar path's ~40k cell traversals
         per epoch would dominate the real-time budget.  The batched
         paths engage only when nothing can perturb the per-cell fold:

@@ -170,7 +170,7 @@ class SwitchPort:
                 self._vci_rates[vci] = new_rate
 
     # ------------------------------------------------------------------
-    # Batched delta processing (the sharded gateway's epoch fast path)
+    # Batched delta processing (the gateway's epoch fast path)
     # ------------------------------------------------------------------
     def delta_batch_total(self, deltas: np.ndarray) -> Optional[float]:
         """Feasibility-check one epoch's delta cells as an exact fold.
@@ -363,7 +363,7 @@ class DenseSwitchPort(SwitchPort):
     """A :class:`SwitchPort` whose VCIs are integer pool slots.
 
     Replaces the per-VCI dict with a dense float64 column indexed by
-    slot, so the sharded gateway's batched epoch commit is one fancy
+    slot, so the gateway's batched epoch commit is one fancy
     index instead of ~40k dict operations.  Value semantics mirror the
     dict exactly: an absent VCI *is* a stored ``0.0`` (the dict pops
     entries at ``<= 1e-12``, then ``get(vci, 0.0)`` reads them back as

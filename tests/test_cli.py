@@ -222,7 +222,7 @@ class TestServe:
                      "--bench-epochs", "3", "--bench-warmup", "2",
                      "--out", str(out)]) == 0
         text = capsys.readouterr().out
-        assert "server benchmark (100 concurrent calls, plain):" in text
+        assert "server benchmark (100 concurrent calls, in-process):" in text
         assert "realtime factor:" in text
         payload = json.loads(out.read_text())
         assert payload["context"]["realtime_factor"] > 0

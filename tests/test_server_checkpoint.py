@@ -18,6 +18,7 @@ import pytest
 from repro.faults.injectors import FaultPlan
 from repro.server import ServerConfig, build_gateway
 from repro.server.checkpoint import (
+    CHECKPOINT_SCHEMA,
     CheckpointError,
     ServeLifecycle,
     StaleCheckpointError,
@@ -255,7 +256,7 @@ class TestStaleness:
         path = tmp_path / "gw.ckpt"
         self.write(workload, path)
         meta = read_checkpoint_meta(path)
-        assert meta["schema"] == 1
+        assert meta["schema"] == CHECKPOINT_SCHEMA
         assert meta["time"] == pytest.approx(1.0, abs=0.1)
         assert meta["next_tick"] > 0
 
@@ -274,6 +275,15 @@ class TestStaleness:
         path.write_bytes(pickle.dumps({"magic": "something-else"}))
         with pytest.raises(CheckpointError, match="not an RCBR"):
             read_checkpoint_meta(path)
+
+    def test_other_schema_is_refused(self, workload, tmp_path):
+        path = tmp_path / "gw.ckpt"
+        cfg = self.write(workload, path)
+        payload = pickle.loads(path.read_bytes())
+        payload["schema"] = CHECKPOINT_SCHEMA - 1
+        path.write_bytes(pickle.dumps(payload))
+        with pytest.raises(CheckpointError, match="schema"):
+            read_checkpoint(path, cfg)
 
     def test_config_mismatch_is_refused(self, workload, tmp_path):
         path = tmp_path / "gw.ckpt"

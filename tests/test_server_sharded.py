@@ -1,10 +1,11 @@
-"""The sharded gateway: fingerprint identity, recovery, and partitioning.
+"""The sharded fleet: fingerprint identity, recovery, and partitioning.
 
 The contract under test (DESIGN.md §14): same seed => byte-identical
-snapshot fingerprint for any shard count, including the plain unsharded
-gateway, under every configuration — hot links with steady denials,
-buffer overflow, overload planes, fleet growth, fault plans, worker
-crashes, and the degrade-to-inline path.
+snapshot fingerprint for any shard count, including the in-process
+fleet, and equal to the per-call reference commit
+(``tests/percall_reference.py``), under every configuration — hot links
+with steady denials, buffer overflow, overload planes, fleet growth,
+fault plans, worker crashes, and the degrade-to-inline path.
 """
 
 import os
@@ -17,10 +18,10 @@ import pytest
 from repro.faults.injectors import FaultPlan
 from repro.perf.supervise import SupervisorPolicy
 from repro.server import ServerConfig, build_gateway, shard_of_slot
-from repro.server.gateway import RcbrGateway
-from repro.server.sharded import ShardedFleet, ShardedGateway, _num_chunks
+from repro.server.sharded import _num_chunks
 from repro.signaling.switch import DenseSwitchPort, SwitchPort
 from repro.traffic.starwars import generate_starwars_trace
+from tests.percall_reference import PerCallGateway
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +47,20 @@ def run_report(workload, shards, duration=5.0, faults=None, **overrides):
     cfg = config(workload, shards, **overrides)
     with build_gateway(workload, cfg, faults=faults) as gateway:
         return gateway.run(duration, snapshot_every=1.0)
+
+
+def run_reference(workload, duration=5.0, faults=None, **overrides):
+    cfg = config(workload, 0, **overrides)
+    with PerCallGateway(workload, cfg, faults=faults) as gateway:
+        return gateway.run(duration, snapshot_every=1.0)
+
+
+def assert_reports_match(reports):
+    """Equal fingerprints and equal final canonical snapshots."""
+    fingerprints = {report.fingerprint for report in reports}
+    assert len(fingerprints) == 1, fingerprints
+    finals = [report.final.canonical() for report in reports]
+    assert all(final == finals[0] for final in finals[1:])
 
 
 IDENTITY_CASES = {
@@ -86,16 +101,11 @@ class TestFingerprintIdentity:
             overrides["capacity"] = (
                 overrides["initial_calls"] * workload.mean_rate
             )
+        reference = run_reference(workload, **overrides)
         reports = [
             run_report(workload, shards, **overrides) for shards in (0, 1, 3)
         ]
-        fingerprints = [report.fingerprint for report in reports]
-        assert fingerprints[0] == fingerprints[1] == fingerprints[2]
-        assert (
-            reports[0].final.canonical()
-            == reports[1].final.canonical()
-            == reports[2].final.canonical()
-        )
+        assert_reports_match([reference] + reports)
 
     def test_hot_link_actually_denies(self, workload):
         report = run_report(
@@ -108,8 +118,8 @@ class TestFingerprintIdentity:
         assert report.final.reneg_denied > 0
 
     def test_fault_plan_fingerprints_match(self, workload):
-        def run(shards):
-            faults = FaultPlan.from_spec(
+        def faults():
+            return FaultPlan.from_spec(
                 {
                     "denial": {"rate": 0.1},
                     "cell_loss": {"probability": 0.05},
@@ -117,11 +127,13 @@ class TestFingerprintIdentity:
                 },
                 seed=42,
             )
-            return run_report(
-                workload, shards, duration=4.0, faults=faults
-            ).fingerprint
 
-        assert run(0) == run(1) == run(3)
+        reference = run_reference(workload, duration=4.0, faults=faults())
+        reports = [
+            run_report(workload, shards, duration=4.0, faults=faults())
+            for shards in (0, 1, 3)
+        ]
+        assert_reports_match([reference] + reports)
 
     def test_shards_one_matches_plain_counters(self, workload):
         plain = run_report(workload, 0)
