@@ -65,8 +65,10 @@ CHECKPOINT_MAGIC = "rcbr-gateway-checkpoint"
 #: Bump when the state layout changes; mismatched checkpoints are stale.
 #: Schema 2: every gateway keeps a dense slot-keyed link and ports and
 #: a batched completion event (schema-1 ``shards=0`` checkpoints held
-#: dict link/ports and per-call completion events).
-CHECKPOINT_SCHEMA = 2
+#: dict link/ports and per-call completion events).  Schema 3: the
+#: memory MBAC pickles its columnar history as sparse per-call keys
+#: (schema 2 pickled per-call ``{level: seconds}`` dicts).
+CHECKPOINT_SCHEMA = 3
 
 
 class CheckpointError(RuntimeError):

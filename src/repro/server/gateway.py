@@ -576,15 +576,7 @@ class RcbrGateway:
         )
         self.link_shortfalls += failures
         fleet.rate[slots] = granted_rates
-        on_batch = getattr(self.controller, "on_reservation_batch", None)
-        if on_batch is not None:
-            on_batch(call_ids, granted_rates, now)
-        else:
-            on_reservation = self.controller.on_reservation
-            for call_id, rate in zip(
-                call_ids.tolist(), granted_rates.tolist()
-            ):
-                on_reservation(call_id, rate, now)
+        self.controller.on_reservation_batch(call_ids, granted_rates, now)
         fleet.streak[slots] = 0
 
     # ------------------------------------------------------------------
