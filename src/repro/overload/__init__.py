@@ -7,9 +7,12 @@ admitted call fighting over a saturated link and the playout buffers
 bleeding bits.  This package adds the missing link-level policy layer,
 in the spirit of Fricker et al.'s downgrading allocation schemes:
 
-* :class:`~repro.overload.plane.OverloadControlPlane` — watches
-  utilization/demand pressure on the shared link with hysteresis
-  (enter/exit thresholds plus a dwell time) so the policy cannot flap;
+* :class:`~repro.overload.plane.OverloadControlPlane` — watches one
+  link's utilization/demand pressure with hysteresis (enter/exit
+  thresholds plus a dwell time) so the policy cannot flap.  A plane is
+  built from the link and a member-mask callable; the classic gateway
+  builds one over its single link (every active call a member), the
+  scenario gateway one per edge (the calls routed across it);
 * :class:`~repro.overload.policies.BlockOnlyPolicy` — the baseline:
   admission blocking is the only control (today's behaviour, byte-for-
   byte);
@@ -20,14 +23,15 @@ in the spirit of Fricker et al.'s downgrading allocation schemes:
 * :class:`~repro.overload.policies.SacrificePolicy` — temporarily
   evicts the cheapest-to-displace calls (deterministic, seeded victim
   selection) into a bounded requeue, readmitting them once the link
-  recovers;
-* :class:`~repro.overload.linkagent.LinkScopedOverloadAgent` — scopes
-  one plane+policy pair to a single bottleneck edge of a multi-link
-  gateway, so every topology gets per-link overload control through
-  the same policies.
+  recovers.
+
+There is one action surface.  Both gateways address calls by one flat
+index (the pool slot; group offset plus slot on the scenario gateway)
+and expose ``call_class``/``rate`` columns plus ``overload_shrink``,
+``overload_evict`` and ``overload_readmit``; the policies act on the
+gateway through exactly these.
 """
 
-from repro.overload.linkagent import LinkScopedOverloadAgent
 from repro.overload.plane import OverloadControlPlane
 from repro.overload.policies import (
     OVERLOAD_POLICY_NAMES,
@@ -39,7 +43,6 @@ from repro.overload.policies import (
 )
 
 __all__ = [
-    "LinkScopedOverloadAgent",
     "OverloadControlPlane",
     "OVERLOAD_POLICY_NAMES",
     "OverloadPolicy",

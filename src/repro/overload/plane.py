@@ -1,10 +1,20 @@
-"""The hysteresis state machine watching pressure on the shared link.
+"""The hysteresis state machine watching pressure on one link.
+
+A plane is built from the link it watches and a *member-mask*
+callable: a boolean column over the gateway's flat call index (see
+:class:`~repro.overload.policies.OverloadPolicy`) marking the calls
+whose reservation crosses that link.  The classic gateway builds one
+plane over its single link with every active call a member; the
+scenario gateway builds one per edge, members being the calls whose
+route traverses it.  Either way the policies act on the gateway
+directly — there is one overload action surface.
 
 Pressure is ``max(allocated, total demand) / capacity``: allocated
 bandwidth measures what the link has committed, total demand includes
 the shortfall the link could not grant — the earliest and strongest
 overload signal, because a saturated link keeps ``allocated`` pinned
-at capacity while demand keeps climbing.
+at capacity while demand keeps climbing.  :meth:`pressure` is the only
+place the formula lives; the policies re-read it through the plane.
 
 The state machine is deliberately sluggish: pressure must sit at or
 above the enter threshold for ``dwell`` consecutive epochs before the
@@ -18,7 +28,7 @@ deterministic schedule.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
 
 import numpy as np
 
@@ -29,11 +39,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle (gateway imports us)
 
 
 class OverloadControlPlane:
-    """Drives one overload policy from the gateway's epoch loop."""
+    """Drives one overload policy for one link from the epoch loop."""
 
     def __init__(
         self,
         gateway: "RcbrGateway",
+        link: Any,
+        members: Callable[[], np.ndarray],
         policy: OverloadPolicy,
         enter: float,
         exit_: float,
@@ -48,12 +60,16 @@ class OverloadControlPlane:
         if num_classes < 1:
             raise ValueError("num_classes must be >= 1")
         self.gateway = gateway
+        self.link = link
+        #: The member mask over the gateway's flat call index, read
+        #: afresh on every call (pools grow, calls come and go).
+        self.members = members
         self.policy = policy
         self.enter = float(enter)
         self.exit = float(exit_)
         self.dwell = int(dwell)
         self.num_classes = int(num_classes)
-        policy.bind(gateway, num_classes, rng, self.enter, self.exit)
+        policy.bind(self, rng)
 
         self.overloaded = False
         self.last_pressure = 0.0
@@ -64,12 +80,16 @@ class OverloadControlPlane:
         self._below = 0
 
     def pressure(self) -> float:
-        link = self.gateway.link
-        return max(link.allocated, link.total_demand) / link.capacity
+        link = self.link
+        capacity = link.capacity
+        if capacity <= 0:
+            return 0.0
+        return max(link.allocated, link.total_demand) / capacity
 
     def on_epoch(self, tick: int, now: float) -> Optional[np.ndarray]:
         """One hysteresis update + one policy decision; returns the
-        policy's downgrade scale array for this epoch's fleet step."""
+        policy's downgrade scale array (over the flat call index) for
+        this epoch's fleet step."""
         pressure = self.pressure()
         self.last_pressure = pressure
         entered = exited = False
@@ -113,10 +133,10 @@ class OverloadControlPlane:
     def state_dict(self) -> Dict[str, Any]:
         """Export hysteresis state plus the bound policy's state.
 
-        The policy holds live references to the gateway and its RNG via
+        The policy holds live references to this plane and its RNG via
         ``bind()`` and is therefore never pickled wholesale; the restored
-        plane's policy is freshly bound to the new gateway and reloaded
-        from this explicit state.
+        plane's policy is freshly bound and reloaded from this explicit
+        state.
         """
         return {
             "overloaded": self.overloaded,

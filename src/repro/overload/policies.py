@@ -1,16 +1,26 @@
 """The three overload policies the control plane can drive.
 
-A policy never touches the link or the fleet directly: it asks the
-gateway for *actions* (shrink a class's granted rates, evict a call,
-readmit a queued one) and hands the fleet step a per-slot resolution
-scale array.  All arithmetic on arrivals stays in
-:mod:`repro.core.kernel`; all bandwidth bookkeeping stays in the
-gateway's existing link/port/controller paths.  Policies therefore
-compose with faults, retries, and every admission controller without
-new special cases.
+A policy never touches a link or a fleet directly.  It reads its
+plane's pressure and member mask and asks the gateway for *actions*
+(shrink one call's granted rate, evict a call, readmit a queued one),
+then hands the fleet step a per-call resolution scale array.  Every
+gateway exposes the same surface over one flat call index — the pool
+slot on the classic gateway, group offset plus slot (flow order) on
+the scenario gateway:
+
+* ``call_class`` and ``rate`` — columns over the flat index;
+* ``overload_shrink(index, ratio, now)`` — shrink one call's grant;
+* ``overload_evict(index, now)`` — tear one call out, returning its
+  requeue entry;
+* ``overload_readmit(entry, now)`` — put a requeued call back.
+
+All arithmetic on arrivals stays in :mod:`repro.core.kernel`; all
+bandwidth bookkeeping stays in the gateway's existing link/port/
+controller paths.  Policies therefore compose with faults, retries,
+every admission controller and every topology without special cases.
 
 Determinism: a policy draws only from the dedicated overload RNG stream
-the gateway spawns for it (victim tie-breaks), walks pool slots in
+its plane was built with (victim tie-breaks), walks the flat index in
 ascending order, and keeps plain-integer counters — same seed, same
 decisions, bit for bit.
 """
@@ -24,8 +34,8 @@ import numpy as np
 
 from repro.faults.recovery import downgrade_rungs
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle (gateway imports us)
-    from repro.server.gateway import RcbrGateway
+if TYPE_CHECKING:  # pragma: no cover - import cycle (plane imports us)
+    from repro.overload.plane import OverloadControlPlane
 
 __all__ = [
     "OVERLOAD_POLICY_NAMES",
@@ -47,31 +57,22 @@ QueuedCall = Tuple[int, int, float]
 
 
 class OverloadPolicy:
-    """Base policy: bound to a gateway by the control plane, driven once
-    per epoch, contributing a section to the snapshot stream."""
+    """Base policy: bound to a control plane, driven once per epoch,
+    contributing a section to the snapshot stream."""
 
     name = "base"
 
     def __init__(self) -> None:
-        self._gateway: Optional["RcbrGateway"] = None
+        self._plane: Optional["OverloadControlPlane"] = None
         self._num_classes = 1
         self._rng: Optional[np.random.Generator] = None
-        self._enter = 1.0
-        self._exit = 1.0
 
     def bind(
-        self,
-        gateway: "RcbrGateway",
-        num_classes: int,
-        rng: np.random.Generator,
-        enter: float,
-        exit_: float,
+        self, plane: "OverloadControlPlane", rng: np.random.Generator
     ) -> None:
-        self._gateway = gateway
-        self._num_classes = int(num_classes)
+        self._plane = plane
+        self._num_classes = int(plane.num_classes)
         self._rng = rng
-        self._enter = float(enter)
-        self._exit = float(exit_)
 
     def on_epoch(
         self,
@@ -82,7 +83,7 @@ class OverloadPolicy:
         tick: int,
         now: float,
     ) -> Optional[np.ndarray]:
-        """One control decision per epoch; returns the per-slot
+        """One control decision per epoch; returns the per-call
         resolution scale array for the fleet step, or ``None`` for the
         bit-identical no-downgrade path."""
         return None
@@ -94,7 +95,7 @@ class OverloadPolicy:
     def state_dict(self) -> Dict[str, Any]:
         """Export mutable policy state for a checkpoint.
 
-        Policies hold live gateway and RNG references through ``bind()``
+        Policies hold live plane and RNG references through ``bind()``
         and so are never pickled as objects; the checkpoint stores this
         explicit state and replays it into a freshly bound policy.  The
         RNG stream itself is owned (and checkpointed) by the gateway.
@@ -165,8 +166,8 @@ class DowngradePolicy(OverloadPolicy):
         self._last_action_tick: Optional[int] = None
         self._factors: Optional[np.ndarray] = None
 
-    def bind(self, gateway, num_classes, rng, enter, exit_) -> None:
-        super().bind(gateway, num_classes, rng, enter, exit_)
+    def bind(self, plane, rng) -> None:
+        super().bind(plane, rng)
         self.levels = [0] * self._num_classes
         self._factors = np.ones(self._num_classes)
 
@@ -191,10 +192,10 @@ class DowngradePolicy(OverloadPolicy):
             self._restore(tick)
         if not any(self.levels):
             return None
-        # Per-slot scale: class factor fancy-indexed by the class column.
+        # Per-call scale: class factor fancy-indexed by the class column.
         # Inactive slots carry exact-zero arrivals, so their factor is
         # irrelevant to the kernel's accounting.
-        return self._factors[self._gateway.fleet.call_class]
+        return self._factors[self._plane.gateway.call_class]
 
     def _escalate(self, tick: int, now: float) -> None:
         floor = len(self.ladder) - 1
@@ -204,12 +205,21 @@ class DowngradePolicy(OverloadPolicy):
                 self.levels[call_class] = level + 1
                 ratio = self.ladder[level + 1] / self.ladder[level]
                 self._factors[call_class] = self.ladder[level + 1]
-                self.calls_shrunk += self._gateway.overload_shrink_class(
-                    call_class, ratio, now
-                )
+                self.calls_shrunk += self._shrink_class(call_class, ratio, now)
                 self.escalations += 1
                 self._last_action_tick = tick
                 return
+
+    def _shrink_class(self, call_class: int, ratio: float, now: float) -> int:
+        """Shrink every member call of ``call_class`` by ``ratio``,
+        ascending flat index (determinism); returns calls shrunk."""
+        gateway = self._plane.gateway
+        members = self._plane.members() & (gateway.call_class == call_class)
+        shrunk = 0
+        for index in np.flatnonzero(members).tolist():
+            if gateway.overload_shrink(index, ratio, now):
+                shrunk += 1
+        return shrunk
 
     def _restore(self, tick: int) -> None:
         for call_class in range(self._num_classes):
@@ -283,10 +293,11 @@ class SacrificePolicy(OverloadPolicy):
         self.dropped = 0
 
     def on_epoch(self, overloaded, entered, exited, pressure, tick, now):
-        gateway = self._gateway
+        plane = self._plane
+        gateway = plane.gateway
         if overloaded:
             for _ in range(self.max_per_epoch):
-                if gateway.overload_pressure() < self._enter:
+                if plane.pressure() < plane.enter:
                     break
                 victim = self._select_victim()
                 if victim is None:
@@ -301,21 +312,21 @@ class SacrificePolicy(OverloadPolicy):
             for _ in range(self.max_per_epoch):
                 if not self.queue:
                     break
-                if gateway.overload_pressure() > self._exit:
+                if plane.pressure() > plane.exit:
                     break
                 gateway.overload_readmit(self.queue.popleft(), now)
                 self.readmitted += 1
         return None
 
     def _select_victim(self) -> Optional[int]:
-        """Pool slot of the cheapest-to-displace active call."""
-        fleet = self._gateway.fleet
-        active = np.flatnonzero(fleet.active)
+        """Flat index of the cheapest-to-displace member call."""
+        gateway = self._plane.gateway
+        active = np.flatnonzero(self._plane.members())
         if active.size == 0:
             return None
-        classes = fleet.call_class[active]
+        classes = gateway.call_class[active]
         candidates = active[classes == classes.max()]
-        rates = fleet.rate[candidates]
+        rates = gateway.rate[candidates]
         ties = candidates[rates == rates.max()]
         if ties.size == 1:
             return int(ties[0])

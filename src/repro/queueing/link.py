@@ -373,12 +373,8 @@ class RcbrLink:
         self._clock = float(state["clock"])  # type: ignore[arg-type]
         self._allocated_integral = float(state["allocated_integral"])  # type: ignore[arg-type]
         self._shortfall_integral = float(state["shortfall_integral"])  # type: ignore[arg-type]
-        # Both default for checkpoints predating capacity accounting
-        # (constant capacity is the only state they can describe).
-        self._capacity_integral = float(
-            state.get("capacity_integral", self.capacity * self._clock)  # type: ignore[union-attr]
-        )
-        self._capacity_changes = int(state.get("capacity_changes", 0))  # type: ignore[arg-type]
+        self._capacity_integral = float(state["capacity_integral"])  # type: ignore[arg-type]
+        self._capacity_changes = int(state["capacity_changes"])  # type: ignore[arg-type]
         self.request_count = int(state["request_count"])  # type: ignore[arg-type]
         self.increase_count = int(state["increase_count"])  # type: ignore[arg-type]
         self.failure_count = int(state["failure_count"])  # type: ignore[arg-type]
@@ -707,15 +703,10 @@ class DenseRcbrLink(RcbrLink):
             column = getattr(self, name)
             column[:] = fill
             column[: saved.size] = np.asarray(state[name.lstrip("_")])
+        seq = np.asarray(state["insert_seq"])
         self._insert_seq[:] = 0
-        seq = state.get("insert_seq")
-        if seq is not None:
-            seq = np.asarray(seq)
-            self._insert_seq[: seq.size] = seq
-        # Checkpoints predating the sequence column default to zeros:
-        # constant-capacity runs never read it, which is the only state
-        # such checkpoints can describe.
-        self._insert_counter = int(state.get("insert_counter", 0))  # type: ignore[arg-type]
+        self._insert_seq[: seq.size] = seq
+        self._insert_counter = int(state["insert_counter"])  # type: ignore[arg-type]
         self._num_sources = int(state["num_sources"])  # type: ignore[arg-type]
         self._load_common(state)
 

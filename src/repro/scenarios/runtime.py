@@ -27,7 +27,10 @@ order is: background capacity updates in background order, then the
 per-link overload planes in link-spec order, then one fleet step per
 flow group in flow order, renegotiations issuing in ascending
 pool-slot order within each group.  Event-heap callbacks address calls
-by ``group * GROUP_STRIDE + slot``.  Same seed (and fault seed) =>
+by ``group * GROUP_STRIDE + slot``; the overload planes address them by
+one flat index, group offset plus slot in flow order (the offsets are
+the groups' pool capacities), so ascending flat index is ascending
+``(group, slot)``.  Same seed (and fault seed) =>
 bit-identical snapshot stream for shards ∈ {0, 1, N}, and
 ``run(T1); save; restore; run(T2)`` equals ``run(T1 + T2)``.
 
@@ -43,11 +46,18 @@ rates are mirrored onto every traversed link (taking the minimum
 grant, equalizing over-grants down), so per-link utilization and loss
 integrals stay honest.
 
+Routes are a table, not per-call records: each flow group keeps an
+int32 route-id column beside its fleet (−1 marks a free slot), route ids
+index a table in ``_route_paths`` creation order, and a route×edge
+incidence matrix turns "which calls cross this edge" into one gather
+(:meth:`ScenarioGateway.link_member_mask`).
+
 Overload beyond blocking: with ``overload_policy`` ≠ ``block`` the
 gateway runs one :class:`~repro.overload.plane.OverloadControlPlane`
-per bottleneck link, each driving the existing downgrade/sacrifice
-policy through a :class:`~repro.overload.linkagent.LinkScopedOverloadAgent`
-whose victim pool is the calls routed over that link.  Downgrade
+per bottleneck link, built by the base gateway's plane factory from
+that link and its member mask; the policies act on this gateway
+through the same ``overload_shrink``/``overload_evict``/
+``overload_readmit`` surface the classic gateway exposes.  Downgrade
 factors from multiple congested links combine per call by minimum.
 With the default ``block`` policy no plane exists and the epoch
 sequence is byte-identical to the pre-overload runtime.
@@ -56,19 +66,17 @@ sequence is byte-identical to the pre-overload runtime.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple, Union
 
 import networkx as nx
 import numpy as np
 
 from repro.admission.callsim import arrival_rate_for_load
 from repro.faults.injectors import FaultPlan
-from repro.overload.linkagent import LinkScopedOverloadAgent
-from repro.overload.plane import OverloadControlPlane
-from repro.overload.policies import make_overload_policy
 from repro.queueing.link import RcbrLink
 from repro.scenarios.registry import get_scenario
 from repro.scenarios.spec import ScenarioSpec
@@ -76,7 +84,6 @@ from repro.server.config import ServerConfig
 from repro.server.gateway import RcbrGateway, build_gateway
 from repro.server.stats import ServerReport
 from repro.server.topology import (
-    CallBinding,
     FleetStack,
     GroupStats,
     LinkStack,
@@ -84,6 +91,7 @@ from repro.server.topology import (
 )
 from repro.signaling.messages import RenegotiationRequest
 from repro.signaling.network import SignalingPath
+from repro.signaling.switch import SwitchPort
 from repro.signaling.topology import SignalingNetwork, _edge_key
 from repro.traffic.sources import make_source
 from repro.traffic.trace import SlottedWorkload
@@ -104,6 +112,35 @@ _SCENARIO_STREAMS = 4
 
 def _route_edges(route: Tuple[str, ...]) -> List[Tuple[str, str]]:
     return list(zip(route[:-1], route[1:]))
+
+
+class RouteEntry(NamedTuple):
+    """One row of the route table: what a call on the route reserves."""
+
+    path: SignalingPath
+    #: The route's links and ports, in route order.
+    links: Tuple[RcbrLink, ...]
+    ports: Tuple[SwitchPort, ...]
+    #: The smallest spec capacity along the route (MBAC vets against it).
+    bottleneck: float
+
+
+def _link_entry(link, port, background: float, plane) -> Dict[str, object]:
+    """One link's final/snapshot state, the same definitions on both
+    runtime shapes."""
+    entry: Dict[str, object] = {
+        "capacity": float(link.capacity),
+        "allocated": float(link.allocated),
+        "lost_bits": float(link.lost_bits),
+        "failures": int(link.failure_count),
+        "port_denied": int(port.requests_denied),
+        "background": float(background),
+    }
+    # Only present when a plane watches the link, so block-policy
+    # snapshot streams keep their pre-overload shape (and fingerprints).
+    if plane is not None:
+        entry["overload"] = plane.section()
+    return entry
 
 
 def scenario_fingerprint(spec: ScenarioSpec) -> str:
@@ -191,6 +228,9 @@ class ScenarioGateway(RcbrGateway):
         self._edge_keys = [
             _edge_key(link.u, link.v) for link in spec.links
         ]
+        self._edge_index = {
+            key: index for index, key in enumerate(self._edge_keys)
+        }
         self._edge_capacity = {
             key: link.capacity
             for key, link in zip(self._edge_keys, spec.links)
@@ -232,43 +272,6 @@ class ScenarioGateway(RcbrGateway):
 
         super().__init__(self._group_workloads[0], config, faults=faults)
 
-        # The base class built a single plane over the whole-topology
-        # LinkStack — meaningless pressure.  Replace it with one plane
-        # per bottleneck link, each driving the configured policy over
-        # the calls routed across that link; all planes share the
-        # dedicated link-overload stream, polled in link-spec order.
-        # With the default "block" policy there are no planes and the
-        # epoch sequence (and fingerprint) is unchanged.
-        self.overload_plane = None
-        self._link_planes: List[Tuple[Tuple[str, str], Any]] = []
-        if config.overload_policy not in (None, "block"):
-            for key in self._edge_keys:
-                if config.overload_policy == "downgrade":
-                    policy = make_overload_policy(
-                        "downgrade",
-                        ladder=config.downgrade_ladder,
-                        dwell=config.overload_dwell,
-                    )
-                else:
-                    policy = make_overload_policy(
-                        "sacrifice",
-                        queue_size=config.sacrifice_queue,
-                        max_per_epoch=config.sacrifice_max_per_epoch,
-                    )
-                agent = LinkScopedOverloadAgent(
-                    self, key, self._edge_links[key]
-                )
-                plane = OverloadControlPlane(
-                    agent,
-                    policy,
-                    enter=config.overload_enter,
-                    exit_=config.overload_exit,
-                    dwell=config.overload_dwell,
-                    num_classes=self.num_classes,
-                    rng=self._link_overload_rng,
-                )
-                self._link_planes.append((key, plane))
-
         # Per-route shared signaling paths, created lazily in call
         # order; the stack view feeds the base snapshot fields and
         # recreates the routes on restore via the factory.
@@ -276,7 +279,7 @@ class ScenarioGateway(RcbrGateway):
         self.path = PathStack(  # type: ignore[assignment]
             self._route_paths, factory=self._path_for_route
         )
-        self._bindings: Dict[int, CallBinding] = {}
+        self._reset_routes()
 
         # Per-group Poisson arrival rates against the (k=1) shortest
         # route's bottleneck capacity — the same Erlang identity the
@@ -312,6 +315,13 @@ class ScenarioGateway(RcbrGateway):
             self._new_fleet(group_workload, config, 256)
             for group_workload in self._group_workloads
         ]
+        # Each group's route-id column widens with its pool.
+        self._route_ids = [
+            np.full(fleet.capacity, -1, dtype=np.int32)
+            for fleet in self._fleets
+        ]
+        for group, fleet in enumerate(self._fleets):
+            fleet.on_grow = functools.partial(self._on_group_grow, group)
         return FleetStack(self._fleets)  # type: ignore[return-value]
 
     def _build_link(self, config: ServerConfig) -> LinkStack:
@@ -327,27 +337,94 @@ class ScenarioGateway(RcbrGateway):
     def _build_ports(self, config: ServerConfig):
         return [self._edge_ports[key] for key in self._edge_keys]
 
-    def _path_for_route(self, route: Tuple[str, ...]) -> SignalingPath:
-        path = self._route_paths.get(route)
-        if path is None:
-            edges = _route_edges(route)
-            delays = [self._edge_delay[_edge_key(u, v)] for u, v in edges]
-            path = SignalingPath(
-                [self._edge_ports[_edge_key(u, v)] for u, v in edges],
-                # SignalingPath models one scalar per-hop delay; the
-                # mean preserves the route's total round-trip time
-                # (2 * sum of link delays).
-                hop_delay=sum(delays) / len(delays),
-                seed=self._path_rng,
-                faults=self.faults,
-                request_timeout=self.config.request_timeout,
-                max_retries=self.config.max_retries,
-                retry_backoff=self.config.retry_backoff,
-                retry_jitter=self.config.retry_jitter,
-                retry_seed=self._path_rng,
+    def _build_planes(self) -> None:
+        """One plane per edge in link-spec order, all on the link
+        overload stream (9); an edge's members are the calls whose
+        route traverses it.  None under the block policy."""
+        self.overload_plane = None
+        self._link_planes: List[Tuple[Tuple[str, str], Any]] = []
+        for key in self._edge_keys:
+            plane = self._overload_plane(
+                self._edge_links[key],
+                # link_member_mask is looked up per call, not captured
+                # as a bound method now, so a wrapper installed later
+                # sees every call.
+                lambda key=key: self.link_member_mask(key),
+                self._link_overload_rng,
             )
-            self._route_paths[route] = path
-        return path
+            if plane is not None:
+                self._link_planes.append((key, plane))
+
+    def _on_group_grow(self, group: int, capacity: int) -> None:
+        column = self._route_ids[group]
+        grown = np.full(capacity, -1, dtype=np.int32)
+        grown[: column.size] = column
+        self._route_ids[group] = grown
+
+    # ------------------------------------------------------------------
+    # The route table
+    # ------------------------------------------------------------------
+    def _reset_routes(self) -> None:
+        self._route_table: List[RouteEntry] = []
+        self._route_index: Dict[Tuple[str, ...], int] = {}
+        # Route × edge incidence plus a trailing all-False row, which
+        # route id -1 (a free slot) gathers.
+        self._incidence = np.zeros((1, len(self._edge_keys)), dtype=bool)
+
+    def _route_id(self, route: Tuple[str, ...]) -> int:
+        """The route's table row, creating its path on first use."""
+        route_id = self._route_index.get(route)
+        if route_id is not None:
+            return route_id
+        edge_keys = [_edge_key(u, v) for u, v in _route_edges(route)]
+        delays = [self._edge_delay[key] for key in edge_keys]
+        ports = tuple(self._edge_ports[key] for key in edge_keys)
+        path = SignalingPath(
+            list(ports),
+            # SignalingPath models one scalar per-hop delay; the mean
+            # preserves the route's total round-trip time (2 * sum of
+            # link delays).
+            hop_delay=sum(delays) / len(delays),
+            seed=self._path_rng,
+            faults=self.faults,
+            request_timeout=self.config.request_timeout,
+            max_retries=self.config.max_retries,
+            retry_backoff=self.config.retry_backoff,
+            retry_jitter=self.config.retry_jitter,
+            retry_seed=self._path_rng,
+        )
+        self._route_paths[route] = path
+        route_id = len(self._route_table)
+        self._route_table.append(
+            RouteEntry(
+                path=path,
+                links=tuple(self._edge_links[key] for key in edge_keys),
+                ports=ports,
+                bottleneck=min(self._edge_capacity[key] for key in edge_keys),
+            )
+        )
+        self._route_index[route] = route_id
+        row = np.zeros(len(self._edge_keys), dtype=bool)
+        row[[self._edge_index[key] for key in edge_keys]] = True
+        self._incidence = np.insert(self._incidence, -1, row, axis=0)
+        return route_id
+
+    def _path_for_route(self, route: Tuple[str, ...]) -> SignalingPath:
+        """The :class:`PathStack` factory: restores routes in their
+        recorded creation order, which rebuilds the table's ids."""
+        return self._route_table[self._route_id(route)].path
+
+    def _select_route(self, group: int, rate_hint: float) -> int:
+        """The table id of the route a new call of ``group`` takes."""
+        flow = self.spec.flows[group]
+        k = flow.route_k if flow.route_k is not None else self.spec.route_k
+        route = self.network.select_route(
+            flow.source, flow.target, k=k, rate_hint=rate_hint
+        )
+        return self._route_id(tuple(route))
+
+    def _route_of(self, group: int, slot: int) -> RouteEntry:
+        return self._route_table[self._route_ids[group][slot]]
 
     # ------------------------------------------------------------------
     # Call lifecycle
@@ -375,7 +452,6 @@ class ScenarioGateway(RcbrGateway):
 
     def _admit_group_call(self, group: int, now: float) -> Optional[int]:
         """Offer one call to ``group``; admission is route setup."""
-        flow = self.spec.flows[group]
         stats = self.group_stats[group]
         fleet = self._fleets[group]
         self.arrivals += 1
@@ -389,25 +465,16 @@ class ScenarioGateway(RcbrGateway):
         )
         call_id = next(self._call_ids)
         slot, initial_rate = fleet.admit(call_id, shift, call_class)
-        k = flow.route_k if flow.route_k is not None else self.spec.route_k
-        route = tuple(
-            self.network.select_route(
-                flow.source, flow.target, k=k, rate_hint=initial_rate
-            )
-        )
-        bottleneck = min(
-            self._edge_capacity[_edge_key(u, v)]
-            for u, v in _route_edges(route)
-        )
-        path = self._path_for_route(route)
+        route_id = self._select_route(group, initial_rate)
+        route = self._route_table[route_id]
         admitted = self.controller.admit(
-            bottleneck, now, call_class=call_class
+            route.bottleneck, now, call_class=call_class
         )
         if admitted:
             # The initial reservation travels the route for real: any
             # hop without headroom denies (and rolls back upstream
             # commits), blocking the call.
-            admitted = path.renegotiate(
+            admitted = route.path.renegotiate(
                 RenegotiationRequest(
                     vci=call_id,
                     old_rate=0.0,
@@ -424,7 +491,7 @@ class ScenarioGateway(RcbrGateway):
         holding = float(self._call_rng.exponential(self.mean_holding))
         return self._install_group_call(
             group, slot, call_id, initial_rate, holding, call_class, now,
-            route, path,
+            route_id,
         )
 
     def _install_group_call(
@@ -436,15 +503,11 @@ class ScenarioGateway(RcbrGateway):
         holding: float,
         call_class: int,
         now: float,
-        route: Tuple[str, ...],
-        path: SignalingPath,
+        route_id: int,
     ) -> int:
         fleet = self._fleets[group]
         stats = self.group_stats[group]
-        edge_keys = tuple(
-            _edge_key(u, v) for u, v in _route_edges(route)
-        )
-        links = tuple(self._edge_links[key] for key in edge_keys)
+        links = self._route_table[route_id].links
         granted = initial_rate
         failed = False
         for link in links:
@@ -461,11 +524,8 @@ class ScenarioGateway(RcbrGateway):
         self.admitted += 1
         stats.admitted += 1
         self.offered.on_admitted(call_class)
+        self._route_ids[group][slot] = route_id
         gslot = group * GROUP_STRIDE + slot
-        self._bindings[gslot] = CallBinding(
-            group=group, route=route, path=path, links=links,
-            edge_keys=edge_keys,
-        )
         self._departure_events[call_id] = self.engine.schedule_at(
             now + holding, self._handle_departure, gslot, call_id
         )
@@ -476,12 +536,17 @@ class ScenarioGateway(RcbrGateway):
         fleet = self._fleets[group]
         if fleet.call_id[slot] != call_id:
             return  # stale event: the call already left this pool slot
-        now = self.engine.now
-        binding = self._bindings.pop(gslot)
+        self._end_call(gslot, call_id, self.engine.now)
+
+    def _end_call(self, gslot: int, call_id: int, now: float) -> None:
+        group, slot = divmod(gslot, GROUP_STRIDE)
+        fleet = self._fleets[group]
+        route = self._route_of(group, slot)
+        self._route_ids[group][slot] = -1
         self.offered.on_departure(int(fleet.call_class[slot]))
-        for link in binding.links:
+        for link in route.links:
             link.release(call_id, now)
-        binding.path.release(call_id)
+        route.path.release(call_id)
         self.controller.on_departure(call_id, now)
         fleet.remove(slot)
         self._departure_events.pop(call_id, None)
@@ -493,58 +558,56 @@ class ScenarioGateway(RcbrGateway):
         super()._abandon(gslot, call_id)
 
     # ------------------------------------------------------------------
-    # Per-link overload protocol (driven by LinkScopedOverloadAgent)
+    # The overload action surface over the flat call index
     # ------------------------------------------------------------------
-    def link_members(self, key: Tuple[str, str]) -> List[Tuple[int, int]]:
-        """Live calls routed over ``key``, ascending ``(group, slot)``
-        — the multi-link mirror of the classic ascending-slot walk."""
-        return [
-            divmod(gslot, GROUP_STRIDE)
-            for gslot in sorted(
-                gslot
-                for gslot, binding in self._bindings.items()
-                if key in binding.edge_keys
-            )
-        ]
+    @property
+    def call_class(self) -> np.ndarray:
+        return np.concatenate([fleet.call_class for fleet in self._fleets])
+
+    @property
+    def rate(self) -> np.ndarray:
+        return np.concatenate([fleet.rate for fleet in self._fleets])
+
+    def _locate(self, index: int) -> Tuple[int, int]:
+        """Map a flat call index back to ``(group, slot)``."""
+        offset = index
+        for group, column in enumerate(self._route_ids):
+            if offset < column.size:
+                return group, offset
+            offset -= column.size
+        raise IndexError(f"flat call index {index} beyond the pools")
 
     def link_member_mask(self, key: Tuple[str, str]) -> np.ndarray:
-        """The same membership as a boolean column over the
-        concatenated group fleets (fixed group order)."""
-        sizes = [int(fleet.active.size) for fleet in self._fleets]
-        offsets = np.concatenate(([0], np.cumsum(sizes)))
-        mask = np.zeros(int(offsets[-1]), dtype=bool)
-        for gslot, binding in self._bindings.items():
-            if key in binding.edge_keys:
-                group, slot = divmod(gslot, GROUP_STRIDE)
-                mask[int(offsets[group]) + slot] = True
-        return mask
+        """Live calls routed over edge ``key``, as a boolean column over
+        the flat call index: one gather of the edge's incidence column
+        by the route ids."""
+        column = self._incidence[:, self._edge_index[key]]
+        return column[np.concatenate(self._route_ids)]
 
-    def shrink_member_call(
-        self, group: int, slot: int, ratio: float, now: float
-    ) -> bool:
+    def overload_shrink(self, index: int, ratio: float, now: float) -> bool:
         """Shrink one call's granted rate by ``ratio`` on *every* link
         of its route (a decrease always succeeds), moving the ports and
         the admission controller with it."""
+        group, slot = self._locate(index)
         fleet = self._fleets[group]
         old_rate = float(fleet.rate[slot])
         new_rate = fleet.quantize(old_rate * ratio)
         if new_rate >= old_rate:
             return False
-        gslot = group * GROUP_STRIDE + slot
-        binding = self._bindings[gslot]
+        route = self._route_of(group, slot)
         call_id = int(fleet.call_id[slot])
         granted = new_rate
-        for link in binding.links:
+        for link in route.links:
             outcome = link.request(call_id, new_rate, now)
             granted = min(granted, outcome.granted_rate)
-        for key in binding.edge_keys:
-            self._edge_ports[key].reprovision(call_id, granted - old_rate)
+        for port in route.ports:
+            port.reprovision(call_id, granted - old_rate)
         self.controller.on_reservation(call_id, granted, now)
         fleet.set_rate(slot, granted)
         return True
 
-    def evict_member_call(
-        self, group: int, slot: int, now: float
+    def overload_evict(
+        self, index: int, now: float
     ) -> Tuple[int, int, float, int]:
         """Tear one call out of service on a link plane's orders.
 
@@ -552,8 +615,8 @@ class ScenarioGateway(RcbrGateway):
         the queue entry, so readmission re-routes within the right
         group.  Accounted as a departure plus an abandonment, same as
         the classic gateway."""
+        group, slot = self._locate(index)
         fleet = self._fleets[group]
-        gslot = group * GROUP_STRIDE + slot
         call_id = int(fleet.call_id[slot])
         call_class = int(fleet.call_class[slot])
         shift = int(fleet.shift[slot])
@@ -562,21 +625,12 @@ class ScenarioGateway(RcbrGateway):
         if event is not None:
             event.cancel()
             remaining = max(0.0, event.time - now)
-        binding = self._bindings.pop(gslot)
-        self.offered.on_departure(call_class)
-        for link in binding.links:
-            link.release(call_id, now)
-        binding.path.release(call_id)
-        self.controller.on_departure(call_id, now)
-        fleet.remove(slot)
-        self.departed += 1
+        self._end_call(group * GROUP_STRIDE + slot, call_id, now)
         self.abandoned += 1
-        stats = self.group_stats[group]
-        stats.departed += 1
-        stats.abandoned += 1
+        self.group_stats[group].abandoned += 1
         return call_class, shift, remaining, group
 
-    def readmit_member_call(
+    def overload_readmit(
         self, entry: Tuple[int, int, float, int], now: float
     ) -> int:
         """Put a sacrificed call back in service for its remaining
@@ -587,31 +641,23 @@ class ScenarioGateway(RcbrGateway):
         call_class, shift, remaining, group = (
             int(entry[0]), int(entry[1]), float(entry[2]), int(entry[3]),
         )
-        flow = self.spec.flows[group]
         fleet = self._fleets[group]
-        stats = self.group_stats[group]
         self.arrivals += 1
-        stats.arrivals += 1
+        self.group_stats[group].arrivals += 1
         self.offered.on_arrival(call_class)
         call_id = next(self._call_ids)
         slot, initial_rate = fleet.admit(call_id, shift, call_class)
-        k = flow.route_k if flow.route_k is not None else self.spec.route_k
-        route = tuple(
-            self.network.select_route(
-                flow.source, flow.target, k=k, rate_hint=initial_rate
-            )
-        )
-        path = self._path_for_route(route)
-        call_id_installed = self._install_group_call(
+        route_id = self._select_route(group, initial_rate)
+        self._install_group_call(
             group, slot, call_id, initial_rate, remaining, call_class,
-            now, route, path,
+            now, route_id,
         )
         # Mirror the link grants onto the route ports directly (no
         # signaling round trip): readmission is the plane's decision.
         granted = float(fleet.rate[slot])
-        for key in self._bindings[group * GROUP_STRIDE + slot].edge_keys:
-            self._edge_ports[key].provision(call_id, granted)
-        return call_id_installed
+        for port in self._route_table[route_id].ports:
+            port.provision(call_id, granted)
+        return call_id
 
     # ------------------------------------------------------------------
     # Renegotiation round trips
@@ -621,7 +667,7 @@ class ScenarioGateway(RcbrGateway):
     ) -> None:
         group, slot = divmod(gslot, GROUP_STRIDE)
         fleet = self._fleets[group]
-        binding = self._bindings[gslot]
+        path = self._route_of(group, slot).path
         old_rate = float(fleet.rate[slot])
         increase = new_rate > old_rate
         fleet.pending[slot] = True
@@ -635,7 +681,7 @@ class ScenarioGateway(RcbrGateway):
             self.injected_denials += 1
             granted = False
         else:
-            granted = binding.path.renegotiate(
+            granted = path.renegotiate(
                 RenegotiationRequest(
                     vci=call_id,
                     old_rate=old_rate,
@@ -645,7 +691,7 @@ class ScenarioGateway(RcbrGateway):
             )
         apply = granted or not increase
         self.engine.schedule_at(
-            time + binding.path.round_trip_time,
+            time + path.round_trip_time,
             self._complete,
             gslot,
             call_id,
@@ -670,10 +716,10 @@ class ScenarioGateway(RcbrGateway):
         now = self.engine.now
         stats = self.group_stats[group]
         if apply:
-            binding = self._bindings[gslot]
+            links = self._route_of(group, slot).links
             granted_rate = new_rate
             failed = False
-            for link in binding.links:
+            for link in links:
                 outcome = link.request(call_id, new_rate, now)
                 granted_rate = min(granted_rate, outcome.granted_rate)
                 failed = failed or outcome.failed
@@ -682,7 +728,7 @@ class ScenarioGateway(RcbrGateway):
                 # Equalize over-granting links down to the route
                 # bottleneck so per-link utilization stays honest; the
                 # binding link keeps the unmet demand (-> lost_bits).
-                for link in binding.links:
+                for link in links:
                     if link.grant_of(call_id) > granted_rate + 1e-12:
                         link.request(call_id, granted_rate, now)
             fleet.set_rate(slot, granted_rate)
@@ -775,23 +821,12 @@ class ScenarioGateway(RcbrGateway):
         planes = dict(self._link_planes)
         links: Dict[str, Dict[str, object]] = {}
         for link_spec, key in zip(self.spec.links, self._edge_keys):
-            link = self._edge_links[key]
-            port = self._edge_ports[key]
-            entry: Dict[str, object] = {
-                "capacity": float(link.capacity),
-                "allocated": float(link.allocated),
-                "lost_bits": float(link.lost_bits),
-                "failures": int(link.failure_count),
-                "port_denied": int(port.requests_denied),
-                "background": float(self._bg_current.get(key, 0.0)),
-            }
-            # Only present when per-link planes exist, so block-policy
-            # snapshot streams keep their pre-overload shape (and
-            # fingerprints).
-            plane = planes.get(key)
-            if plane is not None:
-                entry["overload"] = plane.section()
-            links[f"{link_spec.u}~{link_spec.v}"] = entry
+            links[f"{link_spec.u}~{link_spec.v}"] = _link_entry(
+                self._edge_links[key],
+                self._edge_ports[key],
+                self._bg_current.get(key, 0.0),
+                planes.get(key),
+            )
         groups: Dict[str, Dict[str, object]] = {}
         for flow, fleet, stats in zip(
             self.spec.flows, self._fleets, self.group_stats
@@ -813,7 +848,8 @@ class ScenarioGateway(RcbrGateway):
     # ------------------------------------------------------------------
     def state_dict(self) -> Dict[str, object]:
         """The base export (the stacks serialize per group/edge/route)
-        plus the scenario-only state: call-route bindings, group
+        plus the scenario-only state: the per-group route-id columns
+        (ids index the routes in the path stack's creation order), group
         counters, applied background rates, the two live scenario
         streams, and the per-link overload planes.
 
@@ -824,10 +860,7 @@ class ScenarioGateway(RcbrGateway):
         """
         state = super().state_dict()
         state["scenario"] = {
-            "bindings": [
-                [gslot, list(binding.route)]
-                for gslot, binding in self._bindings.items()
-            ],
+            "route_ids": [column.copy() for column in self._route_ids],
             "group_stats": [
                 dataclasses.asdict(stats) for stats in self.group_stats
             ],
@@ -848,24 +881,19 @@ class ScenarioGateway(RcbrGateway):
 
     def load_state(self, state: Dict[str, object]) -> None:
         scenario = state["scenario"]  # type: ignore[index]
+        # The PathStack restore inside the base load rebuilds every
+        # route's path through the factory in creation order, which
+        # re-derives the route table under the same ids.
+        self._reset_routes()
         super().load_state(state)
-        # The PathStack restore above recreated every route's path (in
-        # creation order) through the factory; bindings can now resolve
-        # routes back to live paths and links.
-        self._bindings = {}
-        for gslot, route in scenario["bindings"]:  # type: ignore[index]
-            gslot = int(gslot)
-            route = tuple(route)
-            edge_keys = tuple(
-                _edge_key(u, v) for u, v in _route_edges(route)
+        saved_ids = scenario["route_ids"]  # type: ignore[index]
+        if len(saved_ids) != len(self._route_ids):
+            raise ValueError(
+                f"checkpoint carries {len(saved_ids)} route columns, "
+                f"this gateway serves {len(self._route_ids)} flow groups"
             )
-            self._bindings[gslot] = CallBinding(
-                group=gslot // GROUP_STRIDE,
-                route=route,
-                path=self._route_paths[route],
-                links=tuple(self._edge_links[key] for key in edge_keys),
-                edge_keys=edge_keys,
-            )
+        for column, saved in zip(self._route_ids, saved_ids):
+            column[:] = saved
         self.group_stats = [
             GroupStats(**stats)
             for stats in scenario["group_stats"]  # type: ignore[index]
@@ -901,8 +929,8 @@ class ScenarioResult:
     spec: ScenarioSpec
     report: ServerReport
     #: Per-flow-group and per-link final state (uniform across both
-    #: runtime shapes; derived from the classic counters when the
-    #: scenario ran single-bottleneck).
+    #: runtime shapes; links are read from the live links and ports,
+    #: a single-bottleneck group from the classic counters).
     groups: Dict[str, Dict[str, Any]] = field(default_factory=dict)
     links: Dict[str, Dict[str, Any]] = field(default_factory=dict)
 
@@ -1001,6 +1029,11 @@ class BackgroundDriver:
             self._rate = rate
             self._port.reprovision(BACKGROUND_VCI, rate - previous)
             gw.link.set_capacity(self._capacity - rate, gw.engine.now)
+
+    @property
+    def rate(self) -> float:
+        """The background rate currently applied to the link."""
+        return self._rate
 
     def sync_to(self, next_tick: int) -> None:
         """Align the applied-rate latch with a restored gateway."""
@@ -1120,11 +1153,29 @@ class ScenarioHarness:
             ),
             epoch_hook=hook,
         )
-        if isinstance(self.gateway, ScenarioGateway):
-            # Captured while the gateway is open: sharded fleet columns
-            # live in shared memory that close() unlinks.
-            self._section = self.gateway._network_section()
+        # Captured while the gateway is open: sharded fleet columns live
+        # in shared memory that close() unlinks.
+        self._section = self._capture_section()
         return report
+
+    def _capture_section(self) -> Dict[str, object]:
+        """The per-link (and, multi-bottleneck, per-group) final state,
+        read from the live links and ports on both runtime shapes."""
+        gateway = self.gateway
+        if isinstance(gateway, ScenarioGateway):
+            return gateway._network_section()
+        link = self.spec.links[0]
+        background = self._background
+        return {
+            "links": {
+                f"{link.u}~{link.v}": _link_entry(
+                    gateway.link,
+                    gateway.ports[-1],
+                    background.rate if background is not None else 0.0,
+                    gateway.overload_plane,
+                )
+            }
+        }
 
     def save(self, path, defer: bool = False) -> Dict[str, Any]:
         return self.gateway.save(path, defer=defer)
@@ -1155,46 +1206,31 @@ class ScenarioHarness:
 
     def result(self, report: ServerReport) -> ScenarioResult:
         spec = self.spec
+        section = self._section
+        if section is None:
+            section = self._capture_section()
         if isinstance(self.gateway, ScenarioGateway):
-            section = self._section
-            if section is None:
-                section = self.gateway._network_section()
-            return ScenarioResult(
-                spec=spec,
-                report=report,
-                groups=section["groups"],  # type: ignore[arg-type]
-                links=section["links"],  # type: ignore[arg-type]
-            )
-        link = spec.links[0]
-        flow = spec.flows[0]
-        final = report.final
-        groups = {
-            flow.name: {
-                "active": final.active_calls,
-                "arrivals": final.arrivals,
-                "blocked": final.blocked,
-                "admitted": final.admitted,
-                "departed": final.departed,
-                "abandoned": final.abandoned,
-                "reneg_requests": final.reneg_requests,
-                "reneg_denied": final.reneg_denied,
+            groups = section["groups"]
+        else:
+            flow = spec.flows[0]
+            final = report.final
+            groups = {
+                flow.name: {
+                    "active": final.active_calls,
+                    "arrivals": final.arrivals,
+                    "blocked": final.blocked,
+                    "admitted": final.admitted,
+                    "departed": final.departed,
+                    "abandoned": final.abandoned,
+                    "reneg_requests": final.reneg_requests,
+                    "reneg_denied": final.reneg_denied,
+                }
             }
-        }
-        links = {
-            f"{link.u}~{link.v}": {
-                "capacity": link.capacity,
-                "lost_bits": final.bits_lost_link,
-                "failures": final.reneg_denied,
-                "port_denied": final.reneg_denied,
-                "background": (
-                    spec.background[0].mean_fraction * link.capacity
-                    if spec.background
-                    else 0.0
-                ),
-            }
-        }
         return ScenarioResult(
-            spec=spec, report=report, groups=groups, links=links
+            spec=spec,
+            report=report,
+            groups=groups,  # type: ignore[arg-type]
+            links=section["links"],  # type: ignore[arg-type]
         )
 
     def __enter__(self) -> "ScenarioHarness":

@@ -67,8 +67,10 @@ CHECKPOINT_MAGIC = "rcbr-gateway-checkpoint"
 #: a batched completion event (schema-1 ``shards=0`` checkpoints held
 #: dict link/ports and per-call completion events).  Schema 3: the
 #: memory MBAC pickles its columnar history as sparse per-call keys
-#: (schema 2 pickled per-call ``{level: seconds}`` dicts).
-CHECKPOINT_SCHEMA = 3
+#: (schema 2 pickled per-call ``{level: seconds}`` dicts).  Schema 4:
+#: the scenario section stores per-group route-id columns (schema 3
+#: stored a per-call ``[gslot, route]`` binding list).
+CHECKPOINT_SCHEMA = 4
 
 
 class CheckpointError(RuntimeError):

@@ -221,35 +221,9 @@ class RcbrGateway:
         self._class_probs = weights / weights.sum()
         self.offered = OfferedLoadAccountant(self.num_classes)
 
-        # The overload control plane — block means "no plane": the
+        # The overload control plane(s) — block means "no plane": the
         # baseline takes the exact pre-overload code path.
-        if config.overload_policy == "downgrade":
-            policy = make_overload_policy(
-                "downgrade",
-                ladder=config.downgrade_ladder,
-                dwell=config.overload_dwell,
-            )
-        elif config.overload_policy == "sacrifice":
-            policy = make_overload_policy(
-                "sacrifice",
-                queue_size=config.sacrifice_queue,
-                max_per_epoch=config.sacrifice_max_per_epoch,
-            )
-        else:
-            policy = None
-        self.overload_plane = (
-            OverloadControlPlane(
-                self,
-                policy,
-                enter=config.overload_enter,
-                exit_=config.overload_exit,
-                dwell=config.overload_dwell,
-                num_classes=self.num_classes,
-                rng=self._overload_rng,
-            )
-            if policy is not None
-            else None
-        )
+        self._build_planes()
 
         # Cumulative counters (snapshot definitions match
         # repro.admission.callsim.CallCounters).
@@ -274,7 +248,8 @@ class RcbrGateway:
         self._encode_callback_cache: Dict[object, str] = {}
 
     # ------------------------------------------------------------------
-    # Construction seams (the scenario runtime overrides all three)
+    # Construction seams (the scenario runtime overrides the fleet,
+    # link, port and plane constructors)
     # ------------------------------------------------------------------
     def _build_fleet(
         self, workload: SlottedWorkload, config: ServerConfig
@@ -284,7 +259,7 @@ class RcbrGateway:
         )
         # The link and ports are slot-keyed columns: widen them with the
         # pool.  (The scenario runtime's per-edge dict links need no
-        # widening, so its override wires no hook.)
+        # widening; its override widens only its route-id columns.)
         fleet.on_grow = self._on_fleet_grow
         return fleet
 
@@ -337,6 +312,49 @@ class RcbrGateway:
         self.link.grow(new_capacity)
         for port in self.ports:
             port.grow(new_capacity)
+
+    def _build_planes(self) -> None:
+        """One plane over the single link, every active call a member,
+        on the classic overload stream (5).  The scenario runtime
+        overrides this with one plane per edge."""
+        self.overload_plane = self._overload_plane(
+            self.link, lambda: self.fleet.active, self._overload_rng
+        )
+
+    def _overload_plane(
+        self,
+        link,
+        members: Callable[[], np.ndarray],
+        rng: np.random.Generator,
+    ) -> Optional[OverloadControlPlane]:
+        """The configured policy's plane watching ``link`` over the calls
+        ``members()`` marks, or None under the block policy."""
+        config = self.config
+        if config.overload_policy == "downgrade":
+            policy = make_overload_policy(
+                "downgrade",
+                ladder=config.downgrade_ladder,
+                dwell=config.overload_dwell,
+            )
+        elif config.overload_policy == "sacrifice":
+            policy = make_overload_policy(
+                "sacrifice",
+                queue_size=config.sacrifice_queue,
+                max_per_epoch=config.sacrifice_max_per_epoch,
+            )
+        else:
+            return None
+        return OverloadControlPlane(
+            self,
+            link,
+            members,
+            policy,
+            enter=config.overload_enter,
+            exit_=config.overload_exit,
+            dwell=config.overload_dwell,
+            num_classes=self.num_classes,
+            rng=rng,
+        )
 
     # ------------------------------------------------------------------
     # Call lifecycle
@@ -393,7 +411,10 @@ class RcbrGateway:
     def _handle_departure(self, slot: int, call_id: int) -> None:
         if self.fleet.call_id[slot] != call_id:
             return  # stale event: the call already left this pool slot
-        now = self.engine.now
+        self._end_call(slot, call_id, self.engine.now)
+
+    def _end_call(self, slot: int, call_id: int, now: float) -> None:
+        """Release everything a live call holds; count it departed."""
         self.offered.on_departure(int(self.fleet.call_class[slot]))
         self.link.release(slot, now)
         self.path.release(slot)
@@ -580,41 +601,37 @@ class RcbrGateway:
         fleet.streak[slots] = 0
 
     # ------------------------------------------------------------------
-    # Overload-plane actions (called by repro.overload policies)
+    # The overload action surface (called by repro.overload policies;
+    # the flat call index is the pool slot)
     # ------------------------------------------------------------------
-    def overload_pressure(self) -> float:
-        """Current link pressure: max(allocated, demand) / capacity."""
-        return (
-            max(self.link.allocated, self.link.total_demand)
-            / self.link.capacity
-        )
+    @property
+    def call_class(self) -> np.ndarray:
+        """Service class per flat call index."""
+        return self.fleet.call_class
 
-    def overload_shrink_class(
-        self, call_class: int, ratio: float, now: float
-    ) -> int:
-        """Shrink every active call of ``call_class``'s granted rate by
-        ``ratio`` (re-quantised to the grid), freeing link bandwidth
-        immediately.  Decreases always succeed at the link; the ports
-        and the admission controller move with it.  Walks pool slots in
-        ascending order (determinism).  Returns calls actually shrunk.
-        """
+    @property
+    def rate(self) -> np.ndarray:
+        """Granted rate per flat call index."""
+        return self.fleet.rate
+
+    def overload_shrink(self, slot: int, ratio: float, now: float) -> bool:
+        """Shrink one call's granted rate by ``ratio`` (re-quantised to
+        the grid), freeing link bandwidth immediately.  Decreases always
+        succeed at the link; the ports and the admission controller move
+        with it.  Returns whether the rate actually went down."""
         fleet = self.fleet
-        slots = np.flatnonzero(fleet.active & (fleet.call_class == call_class))
-        shrunk = 0
-        for slot in slots.tolist():
-            old_rate = float(fleet.rate[slot])
-            new_rate = fleet.quantize(old_rate * ratio)
-            if new_rate >= old_rate:
-                continue
-            call_id = int(fleet.call_id[slot])
-            outcome = self.link.request(slot, new_rate, now)
-            granted = outcome.granted_rate
-            for port in self.ports:
-                port.reprovision(slot, granted - old_rate)
-            self.controller.on_reservation(call_id, granted, now)
-            fleet.set_rate(slot, granted)
-            shrunk += 1
-        return shrunk
+        old_rate = float(fleet.rate[slot])
+        new_rate = fleet.quantize(old_rate * ratio)
+        if new_rate >= old_rate:
+            return False
+        call_id = int(fleet.call_id[slot])
+        outcome = self.link.request(slot, new_rate, now)
+        granted = outcome.granted_rate
+        for port in self.ports:
+            port.reprovision(slot, granted - old_rate)
+        self.controller.on_reservation(call_id, granted, now)
+        fleet.set_rate(slot, granted)
+        return True
 
     def overload_evict(self, slot: int, now: float) -> "tuple[int, int, float]":
         """Tear one call out of service on the plane's orders.
@@ -636,12 +653,7 @@ class RcbrGateway:
         if event is not None:
             event.cancel()
             remaining = max(0.0, event.time - now)
-        self.offered.on_departure(call_class)
-        self.link.release(slot, now)
-        self.path.release(slot)
-        self.controller.on_departure(call_id, now)
-        fleet.remove(slot)
-        self.departed += 1
+        self._end_call(slot, call_id, now)
         self.abandoned += 1
         return call_class, shift, remaining
 
@@ -945,8 +957,6 @@ class RcbrGateway:
         return {"flat": flat, "generic": generic}
 
     def _decode_event_args(self, token_table, token_codes, packed):
-        if isinstance(packed, list):  # written without a packer
-            return [tuple(args) for args in packed]
         flat = packed["flat"].tolist()
         generic = packed["generic"]
         specs = [

@@ -28,7 +28,6 @@ from repro.server.fleet import CallFleet
 from repro.signaling.network import PathStats, SignalingPath
 
 __all__ = [
-    "CallBinding",
     "FleetStack",
     "GroupStats",
     "LinkStack",
@@ -47,20 +46,6 @@ class GroupStats:
     abandoned: int = 0
     reneg_requests: int = 0
     reneg_denied: int = 0
-
-
-@dataclass(frozen=True)
-class CallBinding:
-    """Everything a live call reserved: its route, path, and links."""
-
-    group: int
-    route: Tuple[str, ...]
-    path: SignalingPath
-    links: Tuple[RcbrLink, ...]
-    #: Canonical edge keys along the route, aligned with ``links`` —
-    #: cheap membership tests for per-link overload planes and port
-    #: lookups without re-deriving the route's edges.
-    edge_keys: Tuple[Tuple[str, str], ...] = ()
 
 
 class FleetStack:

@@ -459,9 +459,7 @@ class DenseSwitchPort(SwitchPort):
             self.grow(saved.size)
         self._vci_rates[:] = 0.0
         self._vci_rates[: saved.size] = saved
-        # Absent in checkpoints predating reserved-VCI support (which
-        # could not have carried background state anyway).
-        self._reserved_rates = dict(state.get("reserved_rates") or {})
+        self._reserved_rates = dict(state["reserved_rates"])  # type: ignore[arg-type]
         self._load_common(state)
 
     def __repr__(self) -> str:

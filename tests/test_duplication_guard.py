@@ -7,6 +7,10 @@ creeps back into a consumer.  ``tests/`` is deliberately out of scope:
 ``tests/golden_reference.py`` *must* duplicate the arithmetic — it is
 the frozen oracle the kernel is compared against.
 
+The overload pressure formula, ``max(allocated, total_demand) /
+capacity``, has one home the same way: ``repro.overload.plane``, which
+every overload policy reads through its plane.
+
 CI runs the same patterns as a shell step so the guard holds even for
 changes that skip the test suite.
 """
@@ -48,6 +52,14 @@ GUARDED_PATTERNS = [
 ]
 
 
+PLANE = Path("repro") / "overload" / "plane.py"
+
+#: The overload pressure expression, in any spelling of its operands.
+PRESSURE_PATTERN = re.compile(
+    r"max\(\s*[\w.]*allocated\s*,\s*[\w.]*total_demand\s*\)\s*/\s*[\w.]*capacity"
+)
+
+
 def python_sources():
     return sorted(SRC.rglob("*.py"))
 
@@ -80,3 +92,17 @@ def test_kernel_contains_the_arithmetic():
     text = (SRC / KERNEL).read_text()
     for description, pattern in GUARDED_PATTERNS:
         assert pattern.search(text), f"kernel.py lost: {description}"
+
+
+def test_pressure_formula_lives_only_in_the_plane():
+    offenders = [
+        path.relative_to(SRC)
+        for path in python_sources()
+        if path.relative_to(SRC) != PLANE
+        and PRESSURE_PATTERN.search(path.read_text())
+    ]
+    assert not offenders, (
+        "overload pressure formula reimplemented outside "
+        f"repro/overload/plane.py: {[str(p) for p in offenders]}"
+    )
+    assert PRESSURE_PATTERN.search((SRC / PLANE).read_text())

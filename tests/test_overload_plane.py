@@ -45,14 +45,21 @@ def saturated_config(workload, **overrides):
 
 
 def fake_gateway(capacity=100.0):
-    """A pressure source the plane can poll without a full gateway."""
+    """A pressure source the plane can poll without a full gateway:
+    a link to watch and empty flat-index columns."""
     link = SimpleNamespace(allocated=0.0, total_demand=0.0, capacity=capacity)
-    return SimpleNamespace(link=link, fleet=None)
+    return SimpleNamespace(
+        link=link,
+        call_class=np.zeros(0, dtype=np.int64),
+        rate=np.zeros(0),
+    )
 
 
 def make_plane(gateway, policy=None, enter=0.9, exit_=0.7, dwell=3):
     return OverloadControlPlane(
         gateway,
+        gateway.link,
+        lambda: np.zeros(gateway.call_class.size, dtype=bool),
         policy or BlockOnlyPolicy(),
         enter=enter,
         exit_=exit_,
@@ -161,15 +168,15 @@ class TestPolicyConstruction:
 class TestSacrificeVictimSelection:
     def _policy_with_fleet(self, active, call_class, rate, seed=0):
         policy = SacrificePolicy()
-        fleet = SimpleNamespace(
-            active=np.asarray(active, dtype=bool),
+        gateway = SimpleNamespace(
             call_class=np.asarray(call_class),
             rate=np.asarray(rate, dtype=float),
         )
-        policy.bind(
-            SimpleNamespace(fleet=fleet), 3,
-            np.random.default_rng(seed), 0.95, 0.85,
+        members = np.asarray(active, dtype=bool)
+        plane = SimpleNamespace(
+            gateway=gateway, members=lambda: members, num_classes=3
         )
+        policy.bind(plane, np.random.default_rng(seed))
         return policy
 
     def test_lowest_priority_class_goes_first(self):
@@ -270,16 +277,39 @@ class TestGatewayActions:
         )
         gateway.preload()
         before = gateway.link.allocated
-        target = int(gateway.fleet.call_class[0])
+        target = int(gateway.call_class[0])
         slots = np.flatnonzero(
-            gateway.fleet.active
-            & (gateway.fleet.call_class == target)
+            gateway.fleet.active & (gateway.call_class == target)
         )
-        old_rates = gateway.fleet.rate[slots].copy()
-        shrunk = gateway.overload_shrink_class(target, 0.5, 0.0)
+        old_rates = gateway.rate[slots].copy()
+        shrunk = sum(
+            gateway.overload_shrink(slot, 0.5, 0.0) for slot in slots.tolist()
+        )
         assert shrunk > 0
         assert gateway.link.allocated < before
-        assert np.all(gateway.fleet.rate[slots] <= old_rates)
+        assert np.all(gateway.rate[slots] <= old_rates)
+
+    def test_downgrade_walk_shrinks_only_members_of_the_class(self, workload):
+        gateway = RcbrGateway(
+            workload,
+            saturated_config(
+                workload,
+                load=0.0,
+                capacity=40 * workload.mean_rate,
+                overload_policy="downgrade",
+            ),
+        )
+        gateway.preload()
+        plane = gateway.overload_plane
+        target = int(gateway.call_class[0])
+        in_class = plane.members() & (gateway.call_class == target)
+        old_rates = gateway.rate.copy()
+        shrunk = plane.policy._shrink_class(target, 0.5, 0.0)
+        assert shrunk > 0
+        assert shrunk == int(np.count_nonzero(gateway.rate < old_rates))
+        np.testing.assert_array_equal(
+            gateway.rate[~in_class], old_rates[~in_class]
+        )
 
     def test_evict_then_readmit_balances_counters(self, workload):
         gateway = RcbrGateway(

@@ -334,3 +334,49 @@ class TestScenarioCheckpointCli:
         )
         assert resumed.returncode == 0, resumed.stderr
         assert ref_line in resumed.stdout
+
+
+class TestLinksSection:
+    """``ScenarioResult.links`` reads the live links on both shapes."""
+
+    def test_both_shapes_report_the_same_keys(self):
+        block = [
+            run_scenario("dumbbell-lrd", **SMOKE),  # single-bottleneck
+            run_scenario("parking-lot", **SMOKE),  # multi-bottleneck
+        ]
+        planes = [
+            run_scenario("mixed-classes", **SMOKE),
+            run_scenario(hot_spec("downgrade").replace(**SMOKE)),
+        ]
+        for results in (block, planes):
+            key_sets = {
+                frozenset(link)
+                for result in results
+                for link in result.links.values()
+            }
+            assert len(key_sets) == 1, key_sets
+        assert "overload" in next(iter(planes[0].links.values()))
+        assert "overload" not in next(iter(block[0].links.values()))
+
+    def test_single_bottleneck_values_are_the_live_link(self):
+        spec = get_scenario("dumbbell-lrd", duration=20.0)
+        with ScenarioHarness(spec) as harness:
+            report = harness.run()
+            result = harness.result(report)
+            gateway = harness.gateway
+            link = gateway.link
+            port = gateway.ports[-1]
+            background = harness._background.rate
+        (entry,) = result.links.values()
+        assert entry == {
+            "capacity": float(link.capacity),
+            "allocated": float(link.allocated),
+            "lost_bits": float(link.lost_bits),
+            "failures": int(link.failure_count),
+            "port_denied": int(port.requests_denied),
+            "background": float(background),
+        }
+        # The applied background rate, not the spec's mean.
+        mean = spec.background[0].mean_fraction * spec.links[0].capacity
+        assert entry["background"] != mean
+        assert entry["capacity"] == spec.links[0].capacity - background
